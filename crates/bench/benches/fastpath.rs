@@ -12,15 +12,15 @@
 //! gated again in `scripts/check.sh`, next to the sweep-curve gate.
 //!
 //! Also measured: the warm-start incremental re-solve against the cold
-//! full-grid sweep it replaces, and a batched 8-budget solve.
+//! full-grid sweep it replaces.
 
 use pbc_bench::Bench;
 use pbc_core::{
-    solve_batch, sweep_budget, BudgetOutcome, CurveTable, OnlineConfig, OnlineCoordinator,
+    sweep_budget, BudgetOutcome, CurveTable, OnlineConfig, OnlineCoordinator,
     PowerBoundedProblem, WarmOracle, DEFAULT_STEP,
 };
 use pbc_platform::presets::ivybridge;
-use pbc_powersim::{solve, SolveMemo};
+use pbc_powersim::solve;
 use pbc_types::{PowerAllocation, Watts};
 use std::hint::black_box;
 
@@ -37,7 +37,6 @@ fn main() {
 
     set_budget_vs_cold_solve(&mut bench, &problem);
     warm_resolve_vs_cold_sweep(&mut bench, &problem);
-    batched_solve(&mut bench, &problem);
     bench.finish();
 }
 
@@ -125,17 +124,4 @@ fn warm_resolve_vs_cold_sweep(bench: &mut Bench, problem: &PowerBoundedProblem) 
     if let (Some(warm_ns), Some(cold_ns)) = (warm_ns, cold_ns) {
         bench.record_ratio("fastpath/warm-vs-cold-sweep", cold_ns / warm_ns);
     }
-}
-
-/// Eight concurrent budget queries amortized through one pooled
-/// union-grid job, from a cold memo every iteration.
-fn batched_solve(bench: &mut Bench, problem: &PowerBoundedProblem) {
-    let budgets: Vec<Watts> = (0..8).map(|i| Watts::new(168.0 + 8.0 * i as f64)).collect();
-    bench.run("fastpath/batch-8", || {
-        SolveMemo::clear_shared();
-        let best = solve_batch(black_box(problem), black_box(&budgets), DEFAULT_STEP)
-            .expect("batch succeeds");
-        assert_eq!(best.len(), budgets.len());
-        best
-    });
 }

@@ -12,8 +12,15 @@
 //! `sweep_budget` calls. The medians' ratio is recorded as a
 //! `"type":"bench-ratio"` line and asserted to be at least 2x —
 //! `scripts/check.sh` gates on the recorded value too.
+//!
+//! The partitioner is timed at 32 nodes and on the 512-node calm fleet
+//! mix scaled to 512 and 4096 nodes. The 4096 / 512 median ratio is
+//! recorded as `cluster/water-fill-4096-vs-512`; `scripts/check.sh`
+//! holds it to at most 12, which an n log n fill meets (8× the nodes)
+//! and the old per-grant scan (~53×) does not.
 
 use pbc_bench::Bench;
+use pbc_cluster::{water_fill, Fleet, NodeCurve, SpecLine, DEFAULT_GRANT};
 use pbc_core::{sweep_budget, sweep_curve, PowerBoundedProblem, DEFAULT_STEP};
 use pbc_platform::presets::{ivybridge, titan_xp};
 use pbc_powersim::{solve, SolveMemo};
@@ -51,6 +58,7 @@ fn main() {
     curve_vs_independent_budgets(&mut bench);
     solve_memo(&mut bench);
     cluster_water_fill(&mut bench);
+    cluster_water_fill_scaling(&mut bench);
 
     // The conservation law, over everything the timed runs accumulated.
     let counters = pbc_trace::snapshot().counters;
@@ -140,7 +148,6 @@ fn solve_memo(bench: &mut Bench) {
 /// of one water-filling pass, with class profiling kept outside the
 /// timed region (it is a one-time setup cost).
 fn cluster_water_fill(bench: &mut Bench) {
-    use pbc_cluster::{water_fill, Fleet, NodeCurve, SpecLine, DEFAULT_GRANT};
     let spec: Vec<SpecLine> = [
         (10, "ivybridge", "stream"),
         (8, "haswell", "dgemm"),
@@ -156,14 +163,7 @@ fn cluster_water_fill(bench: &mut Bench) {
     })
     .collect();
     let fleet = Fleet::build(&spec).expect("fleet profiles");
-    let curves: Vec<NodeCurve> = fleet
-        .nodes
-        .iter()
-        .map(|&c| NodeCurve {
-            floor: fleet.classes[c].floor,
-            curve: &fleet.classes[c].curve,
-        })
-        .collect();
+    let curves = fleet_curves(&fleet);
     let global = Watts::new(130.0 * curves.len() as f64);
 
     bench.run("cluster/water-fill-32", || {
@@ -172,4 +172,54 @@ fn cluster_water_fill(bench: &mut Bench) {
         assert_eq!(shares.len(), curves.len());
         shares
     });
+}
+
+/// The partitioner on the calm fleet mix (half ivybridge/stream, a
+/// quarter each haswell/dgemm and titan-xp/sgemm) at 512 and 4096 nodes,
+/// with the global budget scaled per node (70 kW per 512 nodes). The
+/// median ratio shows how the fill's cost grows with fleet size.
+fn cluster_water_fill_scaling(bench: &mut Bench) {
+    let mut medians = Vec::new();
+    for nodes in [512, 4096] {
+        let fleet = calm_fleet(nodes);
+        let curves = fleet_curves(&fleet);
+        let global = Watts::new(70_000.0 * nodes as f64 / 512.0);
+        medians.push(bench.run(&format!("cluster/water-fill-{nodes}"), || {
+            let shares = water_fill(black_box(&curves), black_box(global), DEFAULT_GRANT)
+                .expect("partition succeeds");
+            assert_eq!(shares.len(), curves.len());
+            shares
+        }));
+    }
+    if let [Some(small), Some(large)] = medians[..] {
+        bench.record_ratio("cluster/water-fill-4096-vs-512", large / small);
+    }
+}
+
+/// The calm fleet mix at `nodes` nodes (a multiple of 4).
+fn calm_fleet(nodes: usize) -> Fleet {
+    let spec: Vec<SpecLine> = [
+        (nodes / 2, "ivybridge", "stream"),
+        (nodes / 4, "haswell", "dgemm"),
+        (nodes / 4, "titan-xp", "sgemm"),
+    ]
+    .into_iter()
+    .map(|(count, platform, workload)| SpecLine {
+        count,
+        platform: platform.to_string(),
+        bench: workload.to_string(),
+    })
+    .collect();
+    Fleet::build(&spec).expect("fleet profiles")
+}
+
+fn fleet_curves(fleet: &Fleet) -> Vec<NodeCurve<'_>> {
+    fleet
+        .nodes
+        .iter()
+        .map(|&c| NodeCurve {
+            floor: fleet.classes[c].floor,
+            curve: &fleet.classes[c].curve,
+        })
+        .collect()
 }

@@ -28,13 +28,10 @@ use crate::partition::Objective;
 use crate::tenant::TenantSet;
 use pbc_faults::FleetFaultPlan;
 use pbc_rapl::{mock, RaplDomain, RaplSysfs};
-use pbc_types::{PbcError, Result, Watts};
+use pbc_types::{PbcError, Result, Watts, CAP_QUANTUM};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Tolerance on cap read-back comparisons (enforcement quantizes to µW).
-const EPS_W: f64 = 1e-6;
 
 /// Epochs appended past the plan's quiet point when the caller asks for
 /// the default run length (`epochs == 0`) — long enough for every
@@ -298,8 +295,8 @@ fn run_in_tree(
     let mut sink_divergences = 0usize;
     for &(i, cap) in &programmed {
         sink_total += cap;
-        let released = i >= nodes || down[i] || enforced[i].value() <= EPS_W;
-        if !released && (cap - enforced[i]).abs().value() > EPS_W {
+        let released = i >= nodes || down[i] || enforced[i].value() <= CAP_QUANTUM;
+        if !released && (cap - enforced[i]).abs().value() > CAP_QUANTUM {
             sink_divergences += 1;
         }
     }

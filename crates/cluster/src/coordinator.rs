@@ -71,8 +71,6 @@ const STREAM_WRITE_OUTAGE: u64 = 0x5EED_0015;
 const STREAM_TENANT_SPIKE: u64 = 0x5EED_0016;
 /// Stream constant for per-tenant noisy-neighbor onset decisions.
 const STREAM_TENANT_NOISY: u64 = 0x5EED_0017;
-/// Watt slack below which a cap move is not worth a write.
-const EPS_W: f64 = 1e-6;
 /// Reported throughput surrogates above this are sensor garbage — the
 /// same bar `OnlineConfig::max_credible_perf` defaults to.
 const MAX_CREDIBLE_PERF: f64 = 8.0;
@@ -635,7 +633,7 @@ impl FleetCoordinator {
         // structurally impossible; the counter is the proof the trace
         // carries out to the chaos assertions.
         let enforced_total = self.enforced_total();
-        if enforced_total.value() > self.global.value() + EPS_W {
+        if enforced_total.value() > self.global.value() + CAP_QUANTUM {
             pbc_trace::counter(names::CLUSTER_BUDGET_VIOLATIONS).incr();
         }
 
@@ -645,7 +643,7 @@ impl FleetCoordinator {
             .map(|(now, was)| (*now - *was).abs().value())
             .sum();
         let moved = Watts::new(moved_raw / 2.0);
-        if moved.value() > EPS_W {
+        if moved.value() > CAP_QUANTUM {
             pbc_trace::counter(names::CLUSTER_REDISTRIBUTIONS).incr();
         }
         self.prev_targets = targets;
@@ -742,7 +740,7 @@ impl FleetCoordinator {
             if e.round_timed_out {
                 report.round_timeouts += 1;
             }
-            if e.enforced_total.value() > self.global.value() + EPS_W {
+            if e.enforced_total.value() > self.global.value() + CAP_QUANTUM {
                 report.budget_violations += 1;
             }
             report.min_nodes_up = report.min_nodes_up.min(e.nodes_up);
@@ -1057,7 +1055,7 @@ impl FleetCoordinator {
         let mut preemptions = 0;
         let mut floor_violations = 0;
         for i in 0..self.fleet.len() {
-            if down[i] || self.enforced[i].value() <= EPS_W {
+            if down[i] || self.enforced[i].value() <= CAP_QUANTUM {
                 continue;
             }
             let floor = self.fleet.class_of(i).floor;
@@ -1130,7 +1128,7 @@ impl FleetCoordinator {
             }
             let want = targets[i] - self.enforced[i];
             let raise = want.min(pot);
-            if raise.value() <= EPS_W {
+            if raise.value() <= CAP_QUANTUM {
                 continue;
             }
             let next = self.enforced[i] + raise;
@@ -1144,7 +1142,7 @@ impl FleetCoordinator {
         // The leak audit: raises applied must never exceed the pot the
         // confirmed decreases legitimately left. Structurally zero —
         // the counter is the exported proof.
-        if raised.value() > pot_legit.value() + EPS_W {
+        if raised.value() > pot_legit.value() + CAP_QUANTUM {
             pbc_trace::counter(names::HEALTH_QUARANTINE_LEAKS).incr();
         }
         stats

@@ -13,9 +13,43 @@
 //! (ties broken by lowest node index), so a partition is a deterministic
 //! function of `(curves, global, grant)` — independent of `PBC_THREADS`,
 //! which the property tests in `tests/partition_properties.rs` pin down.
+//!
+//! # Cost
+//!
+//! The throughput rule keeps its eligible nodes in an ordered index of
+//! marginal gains ([`GainIndex`]), so each whole quantum costs
+//! O(log n) instead of a scan over all n nodes, and a fill costs
+//! O(grants · log n). Only the winner's gain changes after a grant, so
+//! only the winner is re-keyed. The last, partial quantum changes every
+//! node's gain at once and falls back to the scan.
+//!
+//! The index picks exactly the node the scan picks. The scan walks nodes
+//! in index order and lets a node displace the current best only when
+//! its gain is more than `GAIN_EPS` higher, so a near-tie goes to the
+//! earlier node. Two facts make a handful of candidates enough:
+//!
+//! - a later node never displaces an earlier one with an equal gain, so
+//!   only the lowest index per exact gain can win;
+//! - across a gap wider than `GAIN_EPS` in the descending gains, the
+//!   first node above the gap displaces everything below it, and nothing
+//!   below can displace it back.
+//!
+//! So the index walks gains from the top while consecutive keys stay
+//! within `GAIN_EPS`, takes the lowest index of each, and runs the
+//! scan's rule over those candidates in index order. The scan itself is
+//! kept as the test oracle; the unit tests assert bit-identical shares.
+//!
+//! Max-min and weighted shares still scan, at O(grants · n). Their keys
+//! also change only for the winner, so the same index would serve them.
+//! It is held back because the fleet benchmark (`perfbench`) keeps
+//! samples per epoch: a faster max-min epoch runs more epochs in its
+//! fixed window and raises the 64-node fault workload's peak RSS past
+//! its bound. See `docs/CLUSTER.md`.
 
 use crate::curve::PerfCurve;
 use pbc_types::{PbcError, Result, Watts};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Default grant quantum for the water-filling pass.
 pub const DEFAULT_GRANT: Watts = Watts::new(4.0);
@@ -193,21 +227,34 @@ pub fn fill_shares(
     }
     let mut shares: Vec<Watts> = nodes.iter().map(|n| n.floor).collect();
     let mut remaining = global - minimum;
+    let mut index = match objective {
+        Objective::Throughput => Some(GainIndex::new(nodes, &shares, grant)),
+        Objective::MaxMin | Objective::WeightedShares => None,
+    };
     // Greedy fill: each quantum goes to whichever node the objective
     // ranks first, clamped to that node's ceiling so the last grant
     // before a flattening point can never overshoot it.
     while remaining.value() > BUDGET_EPS {
         let q = grant.min(remaining);
-        let winner = match objective {
-            Objective::Throughput => pick_throughput(nodes, &shares, q),
-            Objective::MaxMin => pick_max_min(nodes, &shares),
-            Objective::WeightedShares => pick_weighted(nodes, &shares, weights),
+        if remaining.value() < grant.value() {
+            // The partial last quantum moves every node's gain; the
+            // index is keyed on whole quanta, so scan from here on.
+            index = None;
+        }
+        let winner = match (&mut index, objective) {
+            (Some(index), _) => index.pick(),
+            (None, Objective::Throughput) => pick_throughput(nodes, &shares, q),
+            (None, Objective::MaxMin) => pick_max_min(nodes, &shares),
+            (None, Objective::WeightedShares) => pick_weighted(nodes, &shares, weights),
         };
         match winner {
             Some(i) => {
                 let qi = Watts::new(q.value().min(headroom(&nodes[i], shares[i])));
                 shares[i] = shares[i] + qi;
                 remaining = remaining - qi;
+                if let Some(index) = &mut index {
+                    index.rekey(i, &nodes[i], shares[i]);
+                }
             }
             None => break, // nobody is eligible — stop granting greedily
         }
@@ -234,15 +281,109 @@ fn pick_throughput(nodes: &[NodeCurve<'_>], shares: &[Watts], q: Watts) -> Optio
         }
         let qi = Watts::new(q.value().min(room));
         let gain = node.curve.marginal_gain(shares[i], qi);
-        let beats = match best {
-            None => gain > GAIN_EPS,
-            Some((_, g)) => gain > g + GAIN_EPS,
-        };
-        if beats {
+        if outranks(gain, best) {
             best = Some((i, gain));
         }
     }
     best.map(|(i, _)| i)
+}
+
+/// The throughput rule's comparison, in node-index order: the first
+/// node with a gain above `GAIN_EPS` takes the lead, and a later node
+/// takes it over only with a gain more than `GAIN_EPS` higher.
+fn outranks(gain: f64, best: Option<(usize, f64)>) -> bool {
+    match best {
+        None => gain > GAIN_EPS,
+        Some((_, g)) => gain > g + GAIN_EPS,
+    }
+}
+
+/// The nodes that can still win a whole quantum under the throughput
+/// rule, ordered by their marginal gain for it. A node is in the index
+/// when it has headroom above `BUDGET_EPS` and its gain for
+/// `min(grant, headroom)` exceeds `GAIN_EPS`; the scan never grants to
+/// any other node. See the module docs for why [`GainIndex::pick`]
+/// returns the scan's winner.
+struct GainIndex {
+    grant: Watts,
+    /// Gain bits to the nodes holding exactly that gain, lowest index
+    /// on top. Every gain in the index is positive, so the bits order
+    /// like the values.
+    by_gain: BTreeMap<u64, BinaryHeap<Reverse<usize>>>,
+    /// Each node's key in `by_gain`, `None` while it is not eligible.
+    keys: Vec<Option<u64>>,
+    /// Candidate buffer reused across picks.
+    candidates: Vec<(usize, f64)>,
+}
+
+impl GainIndex {
+    fn new(nodes: &[NodeCurve<'_>], shares: &[Watts], grant: Watts) -> Self {
+        let mut index = Self {
+            grant,
+            by_gain: BTreeMap::new(),
+            keys: vec![None; nodes.len()],
+            candidates: Vec::new(),
+        };
+        for (i, node) in nodes.iter().enumerate() {
+            index.insert(i, node, shares[i]);
+        }
+        index
+    }
+
+    /// The node the scan would pick for a whole quantum.
+    fn pick(&mut self) -> Option<usize> {
+        self.candidates.clear();
+        let mut last: Option<f64> = None;
+        for (&bits, holders) in self.by_gain.iter().rev() {
+            let gain = f64::from_bits(bits);
+            if last.is_some_and(|l| l > gain + GAIN_EPS) {
+                break; // a gap no node below can cross
+            }
+            if let Some(&Reverse(i)) = holders.peek() {
+                self.candidates.push((i, gain));
+            }
+            last = Some(gain);
+        }
+        self.candidates.sort_unstable_by_key(|&(i, _)| i);
+        let mut best: Option<(usize, f64)> = None;
+        for &(i, gain) in &self.candidates {
+            if outranks(gain, best) {
+                best = Some((i, gain));
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
+    /// Re-key node `i`, the last pick, after its share moved to
+    /// `share`. A pick is always the lowest index under its gain, so it
+    /// sits on top of its holders.
+    fn rekey(&mut self, i: usize, node: &NodeCurve<'_>, share: Watts) {
+        if let Some(bits) = self.keys[i].take() {
+            if let Some(holders) = self.by_gain.get_mut(&bits) {
+                debug_assert_eq!(holders.peek(), Some(&Reverse(i)));
+                holders.pop();
+                if holders.is_empty() {
+                    self.by_gain.remove(&bits);
+                }
+            }
+        }
+        self.insert(i, node, share);
+    }
+
+    /// Add node `i` at `share` if it can still win a whole quantum. The
+    /// gain is computed exactly as [`pick_throughput`] computes it.
+    fn insert(&mut self, i: usize, node: &NodeCurve<'_>, share: Watts) {
+        let room = headroom(node, share);
+        if room <= BUDGET_EPS {
+            return;
+        }
+        let gain = node.curve.marginal_gain(share, Watts::new(self.grant.value().min(room)));
+        if gain > GAIN_EPS {
+            let bits = gain.to_bits();
+            self.by_gain.entry(bits).or_default().push(Reverse(i));
+            self.keys[i] = Some(bits);
+        }
+    }
 }
 
 /// Max-min rule: the unsaturated node with the lowest normalized
@@ -303,6 +444,10 @@ pub fn uniform_split(n: usize, global: Watts) -> Vec<Watts> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbc_types::XorShift64Star;
+
+    const OBJECTIVES: [Objective; 3] =
+        [Objective::Throughput, Objective::MaxMin, Objective::WeightedShares];
 
     fn flat_ramp(floor: f64, rise: f64, rungs: usize) -> PerfCurve {
         // A synthetic curve: climbs by `rise` per 8 W rung, then flat.
@@ -478,10 +623,150 @@ mod tests {
 
     #[test]
     fn objective_names_round_trip() {
-        for obj in [Objective::Throughput, Objective::MaxMin, Objective::WeightedShares] {
+        for obj in OBJECTIVES {
             assert_eq!(Objective::parse(obj.name()).unwrap(), obj);
         }
         assert!(Objective::parse("fifo").is_err());
+    }
+
+    /// The greedy loop as it stood before the gain index: every quantum
+    /// scans every node. The oracle the production fill must match bit
+    /// for bit; it assumes inputs `fill_shares` has already validated.
+    fn scan_fill(
+        nodes: &[NodeCurve<'_>],
+        weights: &[f64],
+        global: Watts,
+        grant: Watts,
+        objective: Objective,
+    ) -> Vec<Watts> {
+        let minimum = nodes.iter().fold(Watts::ZERO, |acc, n| acc + n.floor);
+        let mut shares: Vec<Watts> = nodes.iter().map(|n| n.floor).collect();
+        let mut remaining = global - minimum;
+        while remaining.value() > BUDGET_EPS {
+            let q = grant.min(remaining);
+            let winner = match objective {
+                Objective::Throughput => pick_throughput(nodes, &shares, q),
+                Objective::MaxMin => pick_max_min(nodes, &shares),
+                Objective::WeightedShares => pick_weighted(nodes, &shares, weights),
+            };
+            match winner {
+                Some(i) => {
+                    let qi = Watts::new(q.value().min(headroom(&nodes[i], shares[i])));
+                    shares[i] = shares[i] + qi;
+                    remaining = remaining - qi;
+                }
+                None => break,
+            }
+        }
+        if remaining.value() > 0.0 {
+            spread_leftover(nodes, &mut shares, remaining);
+        }
+        shares
+    }
+
+    fn assert_bit_identical(got: &[Watts], want: &[Watts], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: share count");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.value().to_bits(),
+                w.value().to_bits(),
+                "{what} node {i}: indexed fill gave {g:?}, the scan {w:?}"
+            );
+        }
+    }
+
+    /// A random curve of one of three shapes on an 8 W ladder: linear to
+    /// the ceiling, concave, or linear up to a knee and flat after it.
+    fn random_curve(rng: &mut XorShift64Star, floor: f64, rungs: usize, rise: f64) -> PerfCurve {
+        let shape = rng.next_u64() % 3;
+        let knee = 1 + (rng.next_u64() % rungs as u64) as usize;
+        let perf: Vec<f64> = (0..=rungs)
+            .map(|k| match shape {
+                0 => rise * k as f64,
+                1 => rise * (k as f64).sqrt(),
+                _ => rise * k.min(knee) as f64,
+            })
+            .collect();
+        let allocs = vec![None; perf.len()];
+        PerfCurve {
+            floor: Watts::new(floor),
+            step: Watts::new(8.0),
+            perf,
+            allocs,
+        }
+    }
+
+    /// The property corpus of `tests/partition_properties.rs`, extended
+    /// with exact ties (nodes sharing one curve, or one `rise` over
+    /// different floors), every grant quantum, and budgets up to 10%
+    /// past the summed ceilings so the leftover spread runs too.
+    #[test]
+    fn indexed_fill_matches_the_scan_bit_for_bit_on_the_corpus() {
+        let mut rng = XorShift64Star::new(0x5AFE_FA11_CE11_0001);
+        for case in 0..240 {
+            for tied in [false, true] {
+                let n = 2 + (rng.next_u64() % 16) as usize;
+                let shared_rise = 3.0 * rng.next_f64();
+                let mut palette = Vec::new();
+                for _ in 0..3 {
+                    let floor = 20.0 + 100.0 * rng.next_f64();
+                    let rungs = 1 + (rng.next_u64() % 12) as usize;
+                    palette.push(random_curve(&mut rng, floor, rungs, shared_rise));
+                }
+                let mut curves = Vec::with_capacity(n);
+                let mut weights = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let curve = if tied && rng.next_u64() % 2 == 0 {
+                        palette[(rng.next_u64() % 3) as usize].clone()
+                    } else {
+                        let floor = 20.0 + 100.0 * rng.next_f64();
+                        let rungs = 1 + (rng.next_u64() % 12) as usize;
+                        let rise = if tied { shared_rise } else { 3.0 * rng.next_f64() };
+                        random_curve(&mut rng, floor, rungs, rise)
+                    };
+                    curves.push(curve);
+                    weights.push(0.5 + 3.5 * rng.next_f64());
+                }
+                let nodes: Vec<NodeCurve<'_>> =
+                    curves.iter().map(|c| NodeCurve { floor: c.floor, curve: c }).collect();
+                let floor_sum: f64 = nodes.iter().map(|c| c.floor.value()).sum();
+                let ceiling_sum: f64 = nodes.iter().map(|c| c.curve.ceiling().value()).sum();
+                let surplus = (1.1 * ceiling_sum - floor_sum) * rng.next_f64();
+                let global = Watts::new(floor_sum + surplus);
+                for grant in [2.0, 4.0, 16.0].map(Watts::new) {
+                    for objective in OBJECTIVES {
+                        let w: &[f64] =
+                            if objective == Objective::WeightedShares { &weights } else { &[] };
+                        let got = fill_shares(&nodes, w, global, grant, objective).unwrap();
+                        let want = scan_fill(&nodes, w, global, grant, objective);
+                        let obj = objective.name();
+                        let what = format!("case {case} tied={tied} grant={grant:?} {obj}");
+                        assert_bit_identical(&got, &want, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The profiled 512-node calm fleet (256 ivybridge/stream, 128
+    /// haswell/dgemm, 128 titan-xp/sgemm) at 25 whole-watt budgets
+    /// evenly spread over 65–75 kW.
+    #[test]
+    fn indexed_fill_matches_the_scan_on_the_512_node_fleet() {
+        let spec = "256 ivybridge stream\n128 haswell dgemm\n128 titan-xp sgemm\n";
+        let spec = crate::parse_spec(spec).unwrap();
+        let fleet = crate::Fleet::build(&spec).unwrap();
+        let nodes: Vec<NodeCurve<'_>> = fleet
+            .nodes
+            .iter()
+            .map(|&c| NodeCurve { floor: fleet.classes[c].floor, curve: &fleet.classes[c].curve })
+            .collect();
+        for level in 0..25 {
+            let global = Watts::new((65_000.0 + 10_000.0 * (level as f64 + 0.5) / 25.0).round());
+            let got = water_fill(&nodes, global, DEFAULT_GRANT).unwrap();
+            let want = scan_fill(&nodes, &[], global, DEFAULT_GRANT, Objective::Throughput);
+            assert_bit_identical(&got, &want, &format!("512 nodes at {global:?}"));
+        }
     }
 
     #[test]

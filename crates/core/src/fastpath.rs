@@ -5,7 +5,7 @@
 //! The paper's COORD reacts to budget changes (§5, and its stated
 //! future work on online dynamic budgeting), but a full oracle re-solve
 //! costs microseconds per budget — three orders of magnitude more than
-//! a memo hit. This module closes that gap with three layers, each
+//! a memo hit. This module closes that gap with two layers, each
 //! bit-faithful to the oracle it replaces:
 //!
 //! 1. **[`CurveTable`]** — a precomputed `perf_max ~ P_b` interpolation
@@ -28,12 +28,6 @@
 //!    field-exact by `crates/core/tests/fastpath_equivalence.rs`, the
 //!    same contract style as `sweep_curve_equivalence.rs`. Warm solves
 //!    are counted under `solve.warm_hits`.
-//! 3. **[`solve_batch`]** — batched multi-query solving: many concurrent
-//!    budget queries are answered in *one* pooled union-grid job through
-//!    the class's [`SolveMemo`], amortizing grid setup across requests
-//!    the way [`sweep_curve`](crate::sweep_curve) amortizes it across a
-//!    budget ladder. The batch size is visible as the
-//!    `fastpath.batch_depth` gauge.
 //!
 //! Measured on a CI-class container (see `docs/PERFORMANCE.md`), the
 //! table path serves an allocation in tens of nanoseconds against a
@@ -448,36 +442,6 @@ fn probe_problem(platform: &Platform) -> PowerBoundedProblem {
     }
 }
 
-/// Answer many concurrent budget queries in one pooled union-grid job
-/// on the global pool — see [`solve_batch_with_pool`].
-#[must_use = "the batch result carries either the optima or the solver failure"]
-pub fn solve_batch(
-    problem: &PowerBoundedProblem,
-    budgets: &[Watts],
-    step: Watts,
-) -> Result<Vec<Option<SweepPoint>>> {
-    solve_batch_with_pool(problem, budgets, step, Pool::global())
-}
-
-/// Batched multi-query solving: the optimum for every requested budget,
-/// computed as *one* pooled job over the union of the budgets' grids
-/// through the class's shared [`SolveMemo`] — grid setup, the nominal
-/// reference time, and repeated canonical solves are amortized across
-/// the whole batch, the way `sweep_curve` amortizes them across a
-/// ladder. `None` entries are unschedulable budgets. The batch size is
-/// recorded in the `fastpath.batch_depth` gauge.
-#[must_use = "the batch result carries either the optima or the solver failure"]
-pub fn solve_batch_with_pool(
-    problem: &PowerBoundedProblem,
-    budgets: &[Watts],
-    step: Watts,
-    pool: &Pool,
-) -> Result<Vec<Option<SweepPoint>>> {
-    pbc_trace::gauge(names::FASTPATH_BATCH_DEPTH).set(budgets.len() as f64);
-    let profiles = sweep_curve_with_pool(problem, budgets, step, pool)?;
-    Ok(profiles.iter().map(|p| p.best().copied()).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,29 +544,5 @@ mod tests {
         let back = oracle.solve(Watts::new(200.0)).unwrap().unwrap();
         let cold = sweep_budget(&problem, DEFAULT_STEP).unwrap();
         assert_eq!(back.op.perf_rel.to_bits(), cold.best().unwrap().op.perf_rel.to_bits());
-    }
-
-    #[test]
-    fn batch_matches_per_budget_bests() {
-        let problem = cpu_problem("stream", 208.0);
-        let budgets: Vec<Watts> = (0..6).map(|i| Watts::new(170.0 + 12.0 * i as f64)).collect();
-        let batch = solve_batch(&problem, &budgets, DEFAULT_STEP).unwrap();
-        assert_eq!(batch.len(), budgets.len());
-        for (b, got) in budgets.iter().zip(&batch) {
-            let single = PowerBoundedProblem {
-                platform: problem.platform.clone(),
-                workload: problem.workload.clone(),
-                budget: *b,
-            };
-            let cold = sweep_budget(&single, DEFAULT_STEP).unwrap();
-            match (got, cold.best()) {
-                (Some(g), Some(c)) => {
-                    assert_eq!(g.alloc.proc.value().to_bits(), c.alloc.proc.value().to_bits());
-                    assert_eq!(g.op.perf_rel.to_bits(), c.op.perf_rel.to_bits());
-                }
-                (None, None) => {}
-                (g, c) => panic!("batch {g:?} vs cold {c:?} at {b}"),
-            }
-        }
     }
 }

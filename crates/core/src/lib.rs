@@ -31,7 +31,7 @@
 //! | [`efficiency`]| §2.1 RQ4 | acceptable budget bands, perf-per-watt curves, stranded power |
 //! | [`schedule`] | §8 | a power-pool scheduler built on COORD (the "upper level" the conclusion calls for) |
 //! | [`online`]   | §5 future work | model-free feedback coordinator (online dynamic budgeting) |
-//! | [`fastpath`] | §5 future work | steady-state serving: warm-start re-solves, lock-free curve tables, batched queries |
+//! | [`fastpath`] | §5 future work | steady-state serving: warm-start re-solves, lock-free curve tables |
 //! | [`model`]    | §7 (vs [34]) | closed-form piecewise performance predictor from critical values |
 //! | [`hybrid`]   | §2.2 future work | host+card budget coordination for offload applications |
 
@@ -58,8 +58,7 @@ pub use coord::{coord_cpu, coord_gpu, CoordResult, CoordStatus, GpuCoordParams};
 pub use critical::CriticalPowers;
 pub use efficiency::{efficiency_curve, most_efficient_budget, AcceptableRange, BudgetVerdict, EfficiencyPoint};
 pub use fastpath::{
-    node_ceiling, node_floor, solve_batch, solve_batch_with_pool, CurveTable, WarmOracle,
-    TABLE_STEP,
+    node_ceiling, node_floor, CurveTable, WarmOracle, TABLE_STEP,
 };
 pub use hybrid::{coordinate_hybrid, solve_hybrid_split, HybridPoint, HybridWorkload};
 pub use model::PiecewiseModel;

@@ -289,64 +289,6 @@ impl OnlineCoordinator {
         BudgetOutcome::Applied
     }
 
-    /// Split a re-negotiated node budget across co-located tenants by
-    /// weight and live demand — the single-node mirror of the cluster
-    /// layer's tenant sub-partition, for callers that drive one
-    /// [`OnlineCoordinator`] per tenant and need the per-tenant budgets
-    /// to hand each one's [`Self::set_budget`].
-    ///
-    /// Each tenant is floored at `weight_i / Σw` of `floor`; the surplus
-    /// above the summed floors is divided in proportion to
-    /// `weight_i × demand_i` (demand multipliers below 1 are clamped to
-    /// the baseline). The returned budgets sum to exactly `budget`.
-    /// Returns `None` when the inputs are unusable: empty or
-    /// length-mismatched slices, non-finite or non-positive weights, or
-    /// a non-finite budget/floor.
-    #[must_use]
-    pub fn demand_weighted_budgets(
-        budget: Watts,
-        floor: Watts,
-        weights: &[f64],
-        demand: &[f64],
-    ) -> Option<Vec<Watts>> {
-        if weights.is_empty()
-            || weights.len() != demand.len()
-            || !budget.value().is_finite()
-            || !floor.value().is_finite()
-            || weights.iter().any(|w| !w.is_finite() || *w <= 0.0)
-            || demand.iter().any(|d| !d.is_finite())
-        {
-            return None;
-        }
-        let total_w: f64 = weights.iter().sum();
-        let floor_base = floor.value().min(budget.value()).max(0.0);
-        let surplus = (budget.value() - floor_base).max(0.0);
-        let pull: Vec<f64> = weights
-            .iter()
-            .zip(demand)
-            .map(|(w, d)| w * d.max(1.0))
-            .collect();
-        let total_pull: f64 = pull.iter().sum();
-        let mut shares: Vec<Watts> = weights
-            .iter()
-            .zip(&pull)
-            .map(|(w, p)| Watts::new(floor_base * (w / total_w) + surplus * (p / total_pull)))
-            .collect();
-        // Float dust lands on the heaviest tenant so the sum is exact.
-        let assigned: f64 = shares.iter().map(|s| s.value()).sum();
-        let heaviest = weights
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)?;
-        // `assigned` differs from the budget only by rounding dust, and
-        // the correction legitimately swings either sign — flooring it
-        // would break exact conservation.
-        // pbc-lint: allow(unchecked-budget-arith)
-        shares[heaviest] += Watts::new(budget.value() - assigned);
-        Some(shares)
-    }
-
     /// The watchdog's escape hatch: abandon the learned split, return to
     /// the initial fraction of the live budget, and restart the search.
     fn fall_back(&mut self) {
@@ -524,49 +466,6 @@ mod tests {
     use pbc_powersim::solve;
     use pbc_workloads::by_name;
     use pbc_types::Watts;
-
-    #[test]
-    fn demand_weighted_budgets_conserve_and_respect_floors() {
-        let budget = Watts::new(200.0);
-        let floor = Watts::new(120.0);
-        let weights = [3.0, 2.0, 1.0];
-        // Tenant 2's demand spikes 4x; tenant 1 idles below baseline.
-        let shares =
-            OnlineCoordinator::demand_weighted_budgets(budget, floor, &weights, &[1.0, 0.2, 4.0])
-                .unwrap();
-        let total: f64 = shares.iter().map(|s| s.value()).sum();
-        assert!((total - 200.0).abs() < 1e-9, "shares must sum to the budget, got {total}");
-        for (i, s) in shares.iter().enumerate() {
-            let tenant_floor = 120.0 * weights[i] / 6.0;
-            assert!(
-                s.value() >= tenant_floor - 1e-9,
-                "tenant {i} got {s:?}, floored at {tenant_floor}"
-            );
-        }
-        // The spiking tenant collects more surplus than its calm share.
-        let calm =
-            OnlineCoordinator::demand_weighted_budgets(budget, floor, &weights, &[1.0, 1.0, 1.0])
-                .unwrap();
-        assert!(shares[2] > calm[2], "a 4x demand spike must pull surplus");
-
-        // Unusable inputs are None, not panics.
-        assert!(OnlineCoordinator::demand_weighted_budgets(budget, floor, &[], &[]).is_none());
-        assert!(
-            OnlineCoordinator::demand_weighted_budgets(budget, floor, &[1.0], &[1.0, 2.0])
-                .is_none()
-        );
-        assert!(
-            OnlineCoordinator::demand_weighted_budgets(budget, floor, &[0.0, 1.0], &[1.0, 1.0])
-                .is_none()
-        );
-        assert!(OnlineCoordinator::demand_weighted_budgets(
-            Watts::new(f64::NAN),
-            floor,
-            &[1.0],
-            &[1.0]
-        )
-        .is_none());
-    }
 
     /// Run the coordinator against the simulated node until convergence.
     fn run_online(bench: &str, budget: f64, start_frac: f64) -> (PowerAllocation, f64, usize) {

@@ -24,8 +24,7 @@
 //! [`sweep_budget`], asserted in `tests/fastpath_equivalence.rs`),
 //! [`crate::fastpath::CurveTable`] precomputes a per-class ladder through
 //! [`sweep_curve`] and serves allocations without any solver in the
-//! loop, and [`crate::fastpath::solve_batch`] amortizes concurrent
-//! budget queries exactly as [`sweep_curve`] amortizes curve budgets.
+//! loop.
 //!
 //! ## Error contract
 //!

@@ -29,14 +29,12 @@ use pbc_platform::{NodeSpec, Platform};
 use pbc_powersim::solve;
 use pbc_rapl::{current_allocation, enforce_with, mock, RaplDomain, RaplSysfs, RetryPolicy};
 use pbc_trace::names;
-use pbc_types::{PbcError, PowerAllocation, Result, Watts};
+use pbc_types::{PbcError, PowerAllocation, Result, Watts, CAP_QUANTUM};
 use pbc_workloads::by_name;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Tolerance on budget comparisons (enforcement quantizes to µW).
-const EPS_W: f64 = 1e-6;
 /// Emergency-clamp rounds per epoch before conceding a violation.
 const CLAMP_ROUNDS: u64 = 3;
 /// Key salt separating clamp-round decision streams from each other and
@@ -332,7 +330,7 @@ pub fn run_chaos(
         // Trust only the tree: the node runs under what is *programmed*,
         // which after a rollback is the previous allocation.
         let mut enforced = current_allocation(&rapl)?;
-        if enforced.total().value() > current_budget.value() + EPS_W {
+        if enforced.total().value() > current_budget.value() + CAP_QUANTUM {
             // Possible only when a rollback restore itself failed and
             // left a mixed allocation standing. Clamp, decrease-only.
             report.clamps += 1;
@@ -340,7 +338,7 @@ pub fn run_chaos(
             for round in 0..CLAMP_ROUNDS {
                 clamp_decrease_only(&rapl, current_budget, &mut injector, tick, round, &policy);
                 enforced = current_allocation(&rapl)?;
-                if enforced.total().value() <= current_budget.value() + EPS_W {
+                if enforced.total().value() <= current_budget.value() + CAP_QUANTUM {
                     break;
                 }
             }
@@ -348,7 +346,7 @@ pub fn run_chaos(
         let total = enforced.total();
         report.max_enforced_total = report.max_enforced_total.max(total);
         report.max_overdraw = report.max_overdraw.max(total - current_budget);
-        if total.value() > current_budget.value() + EPS_W {
+        if total.value() > current_budget.value() + CAP_QUANTUM {
             report.budget_violations += 1;
             pbc_trace::counter(names::CHAOS_BUDGET_VIOLATIONS).incr();
         }
@@ -400,7 +398,7 @@ fn clamp_decrease_only(
     for (list, class_cap) in [(&packages, per_pkg), (&drams, per_dram)] {
         for d in list.iter() {
             let Ok(current) = d.power_limit() else { continue };
-            if current.value() <= class_cap.value() + EPS_W {
+            if current.value() <= class_cap.value() + CAP_QUANTUM {
                 continue; // already at or below its class cap: never raise it.
             }
             let key = write_key(&d.name, class_cap) ^ CLAMP_SALT.wrapping_add(round);

@@ -62,7 +62,9 @@ cargo test -q -p pbc-cluster --test fault_tolerance
 # Drive the shipped binary through the worst plan once and hold the two
 # survival laws from the emitted trace file, under a wall-clock timeout
 # where the host provides one (a wedged retry loop must fail the gate,
-# not hang it).
+# not hang it). `cargo build --release` at the root builds only the
+# facade crate, so build the shipped binary explicitly.
+cargo build -q --release -p pbc-cli
 chaos_spec=target/cluster-chaos-spec.txt
 chaos_trace=target/cluster-chaos-trace.jsonl
 printf '4 ivybridge stream\n2 haswell dgemm\n2 titan-xp sgemm\n' > "$chaos_spec"
@@ -148,6 +150,19 @@ test -n "$fp_ratio" || { echo "error: no fastpath bench-ratio record in BENCH_sw
 awk -v r="$fp_ratio" 'BEGIN { exit (r >= 10.0 ? 0 : 1) }' \
     || { echo "error: fast-path speedup ${fp_ratio}x is below the 10x bar" >&2; exit 1; }
 echo "    fast-path speedup: ${fp_ratio}x"
+
+echo "==> water-fill scaling gate (fill at 4096 nodes <= 12x fill at 512)"
+# The sweep bench records the 4096-over-512-node water-fill median ratio
+# on the calm fleet mix. Eight times the nodes: the indexed O(grants ·
+# log n) fill measures ~8-10x; the per-grant scan it replaced, ~53x.
+wf_ratio=$(grep '"type":"bench-ratio"' BENCH_sweep.json \
+    | grep '"name":"cluster/water-fill-4096-vs-512"' \
+    | sed 's/.*"ratio"://; s/[^0-9.].*//')
+test -n "$wf_ratio" \
+    || { echo "error: no water-fill bench-ratio record in BENCH_sweep.json" >&2; exit 1; }
+awk -v r="$wf_ratio" 'BEGIN { exit (r <= 12.0 ? 0 : 1) }' \
+    || { echo "error: water-fill scaling ${wf_ratio}x breaks the 12x ceiling" >&2; exit 1; }
+echo "    water-fill scaling: ${wf_ratio}x"
 
 echo "==> serve-bench gate (>= 100k queries/sec sustained, p99 dispatch < 50 us)"
 # Load-test the shipped daemon binary: thousands of concurrent simulated
