@@ -12,7 +12,11 @@
 //! gated again in `scripts/check.sh`, next to the sweep-curve gate.
 //!
 //! Also measured: the warm-start incremental re-solve against the cold
-//! full-grid sweep it replaces.
+//! full-grid sweep it replaces, and the serve daemon's session set-up —
+//! one `Session::open` against a `provision 512` of the same class,
+//! whose ratio `serve/provision-512-vs-open` `scripts/check.sh` gates:
+//! a provision resolves the class once, so 512 sessions must cost far
+//! less than 512 opens.
 
 use pbc_bench::Bench;
 use pbc_core::{
@@ -21,6 +25,7 @@ use pbc_core::{
 };
 use pbc_platform::presets::ivybridge;
 use pbc_powersim::solve;
+use pbc_serve::{ServeEngine, Session};
 use pbc_types::{PowerAllocation, Watts};
 use std::hint::black_box;
 
@@ -37,6 +42,7 @@ fn main() {
 
     set_budget_vs_cold_solve(&mut bench, &problem);
     warm_resolve_vs_cold_sweep(&mut bench, &problem);
+    session_open_vs_provision(&mut bench);
     bench.finish();
 }
 
@@ -123,5 +129,24 @@ fn warm_resolve_vs_cold_sweep(bench: &mut Bench, problem: &PowerBoundedProblem) 
 
     if let (Some(warm_ns), Some(cold_ns)) = (warm_ns, cold_ns) {
         bench.record_ratio("fastpath/warm-vs-cold-sweep", cold_ns / warm_ns);
+    }
+}
+
+/// One session opened by the full recipe against a 512-session
+/// `provision` of the same class, both with the class table warm.
+fn session_open_vs_provision(bench: &mut Bench) {
+    let open_ns = bench.run("serve/session-open", || {
+        Session::open(black_box("ivybridge"), black_box("stream"), black_box(208.0))
+            .expect("session opens")
+    });
+    let mut reply = String::new();
+    let provision_ns = bench.run("serve/provision-512", || {
+        let engine = ServeEngine::new();
+        engine.dispatch_into(black_box("provision 512 ivybridge stream 208"), &mut reply);
+        assert!(reply.starts_with("ok provision"), "{reply}");
+        engine
+    });
+    if let (Some(open_ns), Some(provision_ns)) = (open_ns, provision_ns) {
+        bench.record_ratio("serve/provision-512-vs-open", provision_ns / open_ns);
     }
 }

@@ -4,9 +4,12 @@
 //! targets use this harness instead: warm up, run timed batches for a
 //! fixed measurement window, and report min / median / mean ns per
 //! iteration. It understands the arguments cargo passes to bench
-//! binaries — a name filter, and `--test` (sent by `cargo test
-//! --benches`), which switches to a one-iteration smoke run so the
-//! bench suite doubles as a cheap regression check.
+//! binaries: a name filter, and `--bench`, which `cargo bench` sends.
+//! Without `--bench` — under `cargo test --benches`, which sends no
+//! flag a `harness = false` binary would see, or when a binary is run
+//! by hand — every benchmark runs once as a smoke run, so the bench
+//! suite doubles as a cheap regression check and never times a debug
+//! build.
 //!
 //! When the `PBC_BENCH_JSON` environment variable names a file, every
 //! measured benchmark also appends one machine-readable JSON line there
@@ -35,17 +38,21 @@ pub struct Bench {
 
 impl Bench {
     /// Build a runner from the process arguments.
-    ///
-    /// Every non-flag argument is a substring filter on benchmark names;
-    /// `--test` or `--quick` selects smoke mode. Unknown `--flags` are
-    /// ignored so `cargo bench -- --flag` combinations don't error.
     #[must_use]
     pub fn from_env() -> Self {
+        Self::from_args(std::env::args().skip(1))
+    }
+
+    /// Every non-flag argument is a substring filter on benchmark names;
+    /// only `--bench` selects timed runs, anything else is a smoke run.
+    /// Other `--flags` are ignored so `cargo bench -- --flag`
+    /// combinations don't error.
+    fn from_args(args: impl Iterator<Item = String>) -> Self {
         let mut filter = None;
-        let mut smoke = false;
-        for arg in std::env::args().skip(1) {
+        let mut smoke = true;
+        for arg in args {
             match arg.as_str() {
-                "--test" | "--quick" => smoke = true,
+                "--bench" => smoke = false,
                 a if a.starts_with("--") => {}
                 a => filter = Some(a.to_string()),
             }
@@ -182,6 +189,23 @@ mod tests {
         assert_eq!(fmt_ns(1_500.0), "1.500 us");
         assert_eq!(fmt_ns(2_500_000.0), "2.500 ms");
         assert_eq!(fmt_ns(3_200_000_000.0), "3.200 s");
+    }
+
+    fn args(list: &[&str]) -> Bench {
+        Bench::from_args(list.iter().map(|a| (*a).to_string()))
+    }
+
+    #[test]
+    fn only_bench_selects_timed_runs() {
+        // `cargo test --benches` passes nothing; `cargo bench` passes
+        // `--bench`, after any filter given past `--`.
+        assert!(args(&[]).smoke);
+        assert!(args(&["--test"]).smoke);
+        assert!(args(&["--nocapture"]).smoke);
+        assert!(!args(&["--bench"]).smoke);
+        let filtered = args(&["water-fill", "--bench"]);
+        assert!(!filtered.smoke);
+        assert_eq!(filtered.filter.as_deref(), Some("water-fill"));
     }
 
     #[test]

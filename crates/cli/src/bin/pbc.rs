@@ -431,11 +431,12 @@ fn run(argv: &[String]) -> Result<String, String> {
 }
 
 /// The interactive daemon: TCP accept loop plus a stdin control
-/// session on this thread. Responses to stdin requests go to stdout;
-/// the daemon drains (finish in-flight, flush exporters) on stdin EOF,
-/// `quit`, or `shutdown`, then exits 0.
+/// session. Responses to stdin requests go to stdout; the daemon drains
+/// (finish in-flight, flush exporters) on stdin EOF, `quit` or
+/// `shutdown` on stdin, or `shutdown` on any TCP connection, then
+/// exits 0.
 fn run_serve(a: &Args) -> Result<String, String> {
-    use std::io::BufRead as _;
+    use std::io::{BufRead as _, Write as _};
 
     let engine = std::sync::Arc::new(pbc_serve::ServeEngine::new());
     let mut exporters: Vec<Box<dyn pbc_serve::Exporter>> = Vec::new();
@@ -455,30 +456,55 @@ fn run_serve(a: &Args) -> Result<String, String> {
         exporters,
         ..pbc_serve::ServerConfig::default()
     };
-    let server = pbc_serve::Server::start(std::sync::Arc::clone(&engine), config)
+    let mut server = pbc_serve::Server::start(std::sync::Arc::clone(&engine), config)
         .map_err(|e| format!("serve: could not start: {e}"))?;
     println!("listening {}", server.local_addr());
     if let Some(prom) = server.prom_addr() {
         println!("prometheus {prom}");
     }
 
-    let stdin = std::io::stdin();
-    let mut response = String::new();
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| format!("serve: stdin: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let disposition = engine.dispatch_into(&line, &mut response);
-        println!("{response}");
-        if disposition != pbc_serve::Disposition::Respond {
-            break;
-        }
-    }
+    // The stdin session runs beside the TCP transport, so a `shutdown`
+    // from either ends the daemon. It reports how it ended before it
+    // requests the shutdown.
+    let stdin_engine = std::sync::Arc::clone(&engine);
+    let stop = server.shutdown_handle();
+    let (ended, stdin_outcome) = std::sync::mpsc::channel();
+    let stdin_loop = std::thread::Builder::new()
+        .name("pbc-serve-stdin".into())
+        .spawn(move || {
+            let session = || -> Result<(), String> {
+                let mut response = String::new();
+                for line in std::io::stdin().lock().lines() {
+                    let line = line.map_err(|e| format!("serve: stdin: {e}"))?;
+                    if line.trim().is_empty() {
+                        continue;
+                    }
+                    let disposition = stdin_engine.dispatch_into(&line, &mut response);
+                    if writeln!(std::io::stdout(), "{response}").is_err()
+                        || disposition != pbc_serve::Disposition::Respond
+                    {
+                        break;
+                    }
+                }
+                Ok(())
+            };
+            let _ = ended.send(session());
+            stop.request();
+        })
+        .map_err(|e| format!("serve: could not start the stdin loop: {e}"))?;
+    server.wait();
     let sessions = engine.session_count();
     server
         .drain()
         .map_err(|e| format!("serve: drain failed: {e}"))?;
+    // After a TCP `shutdown` the stdin thread stays blocked in a read
+    // nothing can interrupt; it is left to end with the process.
+    if let Ok(outcome) = stdin_outcome.try_recv() {
+        stdin_loop
+            .join()
+            .map_err(|_| "serve: the stdin loop panicked".to_string())?;
+        outcome?;
+    }
     Ok(format!("serve: drained cleanly ({sessions} sessions)"))
 }
 

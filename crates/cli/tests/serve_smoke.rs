@@ -228,3 +228,50 @@ fn serve_drains_on_stdin_eof() {
     assert_eq!(requests, served + rejected, "law broken after EOF drain");
     let _ = std::fs::remove_file(&trace);
 }
+
+#[test]
+fn serve_drains_on_tcp_shutdown_with_stdin_open() {
+    let trace = trace_file("tcp-shutdown");
+    let _ = std::fs::remove_file(&trace);
+    let mut daemon = boot(&trace, true);
+    // Held open until the daemon has exited.
+    let stdin = daemon.child.stdin.take().expect("stdin piped");
+
+    let stream = TcpStream::connect(daemon.addr).expect("connect to daemon");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("client timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone client stream"));
+    let mut writer = stream;
+    let opened = roundtrip(&mut reader, &mut writer, "node 3 ivybridge stream 208");
+    assert!(opened.starts_with("alloc 3 "), "{opened}");
+    let ack = roundtrip(&mut reader, &mut writer, "shutdown");
+    assert_eq!(ack, "ok draining");
+
+    // The daemon must exit on its own; a daemon still running after ten
+    // seconds fails the test instead of hanging it.
+    let mut stdout = daemon.stdout;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader_thread = std::thread::spawn(move || {
+        let mut rest = String::new();
+        let _ = stdout.read_to_string(&mut rest);
+        let _ = tx.send(rest);
+    });
+    let Ok(rest) = rx.recv_timeout(Duration::from_secs(10)) else {
+        let _ = daemon.child.kill();
+        let _ = daemon.child.wait();
+        panic!("daemon did not drain after a TCP shutdown with stdin open");
+    };
+    reader_thread.join().expect("stdout reader");
+    assert!(rest.contains("drained cleanly (1 sessions)"), "{rest}");
+    let status = daemon.child.wait().expect("daemon exits");
+    assert!(status.success(), "daemon exit status {status}");
+    drop(stdin);
+
+    let counters = counters_from(&trace);
+    let requests = counters["serve.requests"];
+    let served = counters["serve.served_requests"];
+    let rejected = counters.get("serve.rejected_requests").copied().unwrap_or(0);
+    assert_eq!(requests, served + rejected, "law broken after TCP shutdown");
+    let _ = std::fs::remove_file(&trace);
+}

@@ -19,10 +19,9 @@
 //! `serve.rejected_requests`.
 
 use crate::proto::{self, Request, ServeError};
-use crate::session::Session;
+use crate::session::{Session, SessionClass};
 use pbc_cluster::{parse_spec, ClusterCoordinator, Fleet, Objective, TenantSet};
 use pbc_core::{BudgetOutcome, ObservationOutcome};
-use pbc_par::Pool;
 use pbc_powersim::{CpuMechanismState, MechanismState, NodeOperatingPoint};
 use pbc_trace::names;
 use pbc_types::{Bandwidth, PowerAllocation, Watts};
@@ -248,11 +247,10 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// Open `count` identical sessions in one pooled job. The class's
-    /// curve table is built (or fetched from the shared registry) once;
-    /// the per-session coordinators are then constructed concurrently on
-    /// the global `pbc-par` pool. Ids are assigned consecutively from
-    /// one past the current maximum.
+    /// Open `count` identical sessions. The class is resolved once —
+    /// slugs, budget, floor, ceiling and the shared curve table — and
+    /// each session then only pays its coordinator's construction. Ids
+    /// are assigned consecutively from one past the current maximum.
     fn provision(
         &self,
         count: usize,
@@ -261,37 +259,10 @@ impl ServeEngine {
         budget: f64,
         out: &mut String,
     ) -> Result<(), ServeError> {
-        // Build one session eagerly: resolves slugs, validates the
-        // budget, and warms the shared table so the pooled fan-out below
-        // only pays coordinator construction.
-        let first = Session::open(platform, bench, budget)?;
-        let (floor, ceiling) = (first.floor, first.ceiling);
-        let mut first = Some(first);
-        let slots: Vec<Mutex<Result<Option<Session>, ServeError>>> = (0..count)
-            .map(|i| Mutex::new(Ok(if i == 0 { first.take() } else { None })))
-            .collect();
-        if count > 1 {
-            let (p, b) = (platform.to_string(), bench.to_string());
-            let stats = Pool::global().run(count - 1, &|i| {
-                let built = Session::open(&p, &b, budget).map(Some);
-                *slots[i + 1].lock().unwrap_or_else(PoisonError::into_inner) = built;
-            });
-            if let Some(payload) = stats.panic {
-                std::panic::resume_unwind(payload);
-            }
-        }
-        let mut built = Vec::with_capacity(count);
-        for slot in slots {
-            match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                Ok(Some(s)) => built.push(s),
-                Ok(None) => {
-                    return Err(ServeError::Build(
-                        "provision worker never ran its slot".into(),
-                    ))
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let class = SessionClass::resolve(platform, bench, budget)?;
+        let built = (0..count)
+            .map(|_| class.open(budget))
+            .collect::<Result<Vec<Session>, ServeError>>()?;
         let mut map = self.sessions.write().unwrap_or_else(PoisonError::into_inner);
         let base = map.keys().max().map_or(0, |m| m + 1);
         for (i, s) in built.into_iter().enumerate() {
@@ -303,8 +274,8 @@ impl ServeEngine {
         let _ = write!(
             out,
             "ok provision base={base} count={count} floor={} ceiling={}",
-            floor.value(),
-            ceiling.value()
+            class.floor.value(),
+            class.ceiling.value()
         );
         Ok(())
     }

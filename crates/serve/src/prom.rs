@@ -17,11 +17,12 @@
 //! test asserts.
 
 use crate::exporter::Exporter;
+use crate::server;
 use pbc_trace::{names, Snapshot};
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -90,8 +91,10 @@ impl PromEndpoint {
         self.addr
     }
 
-    /// Join the listener thread (after the shutdown flag is set).
+    /// Wake the listener and join its thread (after the shutdown flag
+    /// is set).
     pub fn join(mut self) {
+        server::wake(self.addr);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -99,33 +102,24 @@ impl PromEndpoint {
 }
 
 /// Bind the scrape endpoint on `addr` and return the paired
-/// `(exporter, endpoint)`. The listener polls `shutdown` between
-/// accepts and exits once it flips.
+/// `(exporter, endpoint)`. The listener blocks in `accept` and exits
+/// at the first connection after `shutdown` flips; [`PromEndpoint::join`]
+/// makes that connection.
 #[must_use = "a failed bind leaves the daemon without its scrape endpoint"]
 pub fn start_endpoint(
     addr: &str,
     shutdown: Arc<AtomicBool>,
 ) -> io::Result<(PrometheusExporter, PromEndpoint)> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
     let body: Body = Arc::new(Mutex::new(String::new()));
     let serve_body = Arc::clone(&body);
     let thread = std::thread::Builder::new()
         .name("pbc-serve-prom".into())
-        .spawn(move || loop {
-            if shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = answer_scrape(stream, &serve_body);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
-            }
+        .spawn(move || {
+            server::accept_until(&listener, &shutdown, |stream| {
+                let _ = answer_scrape(stream, &serve_body);
+            });
         })?;
     Ok((
         PrometheusExporter { body },
@@ -136,7 +130,6 @@ pub fn start_endpoint(
 /// Speak one HTTP/1.1 exchange on an accepted connection.
 fn answer_scrape(mut stream: std::net::TcpStream, body: &Body) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    stream.set_nonblocking(false)?;
     // Read until the end of the request head (CRLFCRLF) or the buffer
     // cap; a Prometheus GET has no body.
     let mut head = Vec::with_capacity(512);
@@ -183,6 +176,7 @@ fn answer_scrape(mut stream: std::net::TcpStream, body: &Body) -> io::Result<()>
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+    use std::sync::atomic::Ordering;
 
     fn snap() -> Snapshot {
         let mut counters = BTreeMap::new();

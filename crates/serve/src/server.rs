@@ -10,20 +10,25 @@
 //!         └─ export ticker (snapshot → every exporter, each interval)
 //! ```
 //!
-//! [`Server::drain`] is the graceful shutdown contract the satellite
-//! task demands: flip the shutdown flag, let every handler finish the
+//! [`Server::drain`] is the graceful shutdown contract: flip the
+//! shutdown flag and wake the accept loop, let every handler finish the
 //! request it is reading (handlers poll the flag on a read timeout),
 //! join accept + handlers + ticker, then run one final export pass and
 //! flush every exporter. The trace-snapshot exporter writes through a
 //! tmp-file + rename, so there is no instant at which a scraping reader
 //! or a crashed drain can observe a torn trace file.
+//!
+//! Both listeners (protocol and Prometheus) block in `accept`; nothing
+//! polls them. Whoever sets the shutdown flag wakes a listener with a
+//! self-connect (`wake`), and the loop stops at the first connection
+//! that finds the flag set.
 
 use crate::engine::{Disposition, ServeEngine};
 use crate::exporter::Exporter;
 use crate::prom::{self, PromEndpoint};
 use pbc_trace::names;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -69,14 +74,37 @@ pub struct Server {
 /// appends, so a line split across timeouts is still read whole.
 const READ_POLL: Duration = Duration::from_millis(50);
 
+/// How long an accept loop backs off after a failed `accept` (e.g. out
+/// of descriptors) instead of spinning on the error.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(2);
+
+/// A handle that asks a running [`Server`] to stop accepting: it sets
+/// the shutdown flag and wakes the blocking accept loop. The handler of
+/// a `shutdown` request uses one; so can any other transport, such as
+/// the stdin loop of `pbc serve`.
+#[derive(Clone)]
+pub struct ShutdownHandle {
+    flag: Arc<AtomicBool>,
+    addr: SocketAddr,
+}
+
+impl ShutdownHandle {
+    /// Request the shutdown. [`Server::wait`] returns once the accept
+    /// loop and every connection handler have finished.
+    pub fn request(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        wake(self.addr);
+    }
+}
+
 impl Server {
     /// Bind, spawn the threads, and return the handle.
     #[must_use = "dropping the handle leaks the daemon threads; call drain()"]
     pub fn start(engine: Arc<ServeEngine>, mut config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
+        let stop = ShutdownHandle { flag: Arc::clone(&shutdown), addr: local_addr };
 
         let prom = match &config.prom_addr {
             Some(addr) => {
@@ -121,38 +149,30 @@ impl Server {
                 .spawn(move || {
                     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
                     let open = Arc::new(AtomicI64::new(0));
-                    while !flag.load(Ordering::SeqCst) {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                pbc_trace::counter(names::SERVE_CONNECTIONS).incr();
-                                let engine = Arc::clone(&engine);
-                                let flag = Arc::clone(&flag);
-                                let open = Arc::clone(&open);
-                                let gauge = |n: i64| {
-                                    #[allow(clippy::cast_precision_loss)]
-                                    pbc_trace::gauge(names::SERVE_OPEN_CONNECTIONS)
-                                        .set(n as f64);
-                                };
-                                gauge(open.fetch_add(1, Ordering::SeqCst) + 1);
-                                let spawned = std::thread::Builder::new()
-                                    .name("pbc-serve-conn".into())
-                                    .spawn(move || {
-                                        let outcome = handle_connection(&engine, stream, &flag);
-                                        gauge(open.fetch_sub(1, Ordering::SeqCst) - 1);
-                                        if outcome == Disposition::Shutdown {
-                                            flag.store(true, Ordering::SeqCst);
-                                        }
-                                    });
-                                if let Ok(t) = spawned {
-                                    handlers.push(t);
+                    accept_until(&listener, &flag, |stream| {
+                        pbc_trace::counter(names::SERVE_CONNECTIONS).incr();
+                        let engine = Arc::clone(&engine);
+                        let flag = Arc::clone(&flag);
+                        let stop = stop.clone();
+                        let open = Arc::clone(&open);
+                        let gauge = |n: i64| {
+                            #[allow(clippy::cast_precision_loss)]
+                            pbc_trace::gauge(names::SERVE_OPEN_CONNECTIONS).set(n as f64);
+                        };
+                        gauge(open.fetch_add(1, Ordering::SeqCst) + 1);
+                        let spawned = std::thread::Builder::new()
+                            .name("pbc-serve-conn".into())
+                            .spawn(move || {
+                                let outcome = handle_connection(&engine, stream, &flag);
+                                gauge(open.fetch_sub(1, Ordering::SeqCst) - 1);
+                                if outcome == Disposition::Shutdown {
+                                    stop.request();
                                 }
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(2));
-                            }
-                            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+                            });
+                        if let Ok(t) = spawned {
+                            handlers.push(t);
                         }
-                    }
+                    });
                     for t in handlers {
                         let _ = t.join();
                     }
@@ -182,11 +202,20 @@ impl Server {
         self.prom.as_ref().map(PromEndpoint::addr)
     }
 
-    /// The flag a transport (e.g. the stdin loop) flips to request a
-    /// drain, and polls to learn one was requested elsewhere.
+    /// A handle another transport (e.g. the stdin loop) uses to request
+    /// a drain.
     #[must_use]
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
+    pub fn shutdown_handle(&self) -> ShutdownHandle {
+        ShutdownHandle { flag: Arc::clone(&self.shutdown), addr: self.local_addr }
+    }
+
+    /// Block until a shutdown is requested — by a `shutdown` request on
+    /// a connection or through a [`ShutdownHandle`] — and the accept
+    /// loop and every connection handler have finished.
+    pub fn wait(&mut self) {
+        if let Some(t) = self.accept_thread.take() {
+            let _ = t.join();
+        }
     }
 
     /// Graceful shutdown: stop accepting, reject new work, wait for
@@ -194,10 +223,8 @@ impl Server {
     #[must_use = "a failed drain means exporters were not flushed"]
     pub fn drain(mut self) -> io::Result<()> {
         self.engine.begin_drain();
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.shutdown_handle().request();
+        self.wait();
         if let Some(t) = self.export_thread.take() {
             let _ = t.join();
         }
@@ -213,6 +240,47 @@ impl Server {
         }
         Ok(())
     }
+}
+
+/// The accept idiom of both listeners: block in `accept`, hand each
+/// connection to `serve`, and stop at the first connection that finds
+/// `shutdown` set (normally the self-connect of [`wake`]).
+pub(crate) fn accept_until(
+    listener: &TcpListener,
+    shutdown: &AtomicBool,
+    mut serve: impl FnMut(TcpStream),
+) {
+    for conn in listener.incoming() {
+        if shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match conn {
+            Ok(stream) => serve(stream),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+        }
+    }
+}
+
+/// Wake a listener blocked in [`accept_until`] by connecting to it. A
+/// wildcard bind address is reached through the loopback interface.
+pub(crate) fn wake(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(if addr.is_ipv4() {
+            Ipv4Addr::LOCALHOST.into()
+        } else {
+            Ipv6Addr::LOCALHOST.into()
+        });
+    }
+    let _ = TcpStream::connect(addr);
+}
+
+/// Should a reply written with `buffered` still unread be flushed now?
+/// Only a complete buffered request line (one holding `\n`) is sure to
+/// be answered at once, its reply then flushing both; a partial tail
+/// such as `pi` can wait a whole [`READ_POLL`] for its newline, and must
+/// not hold the reply back that long.
+fn flush_due(buffered: &[u8]) -> bool {
+    !buffered.contains(&b'\n')
 }
 
 /// One export pass over the exporter fleet.
@@ -256,10 +324,10 @@ fn handle_connection(
                     if writeln!(writer, "{response}").is_err() {
                         break Disposition::Quit;
                     }
-                    // Flush only when no further request is already
+                    // Flush unless a further complete request is already
                     // buffered — this is what lets a pipelining client
                     // amortize syscalls over a whole batch.
-                    if reader.buffer().is_empty() && writer.flush().is_err() {
+                    if flush_due(reader.buffer()) && writer.flush().is_err() {
                         break Disposition::Quit;
                     }
                     if disposition != Disposition::Respond {
@@ -283,5 +351,33 @@ fn handle_connection(
             }
             Err(_) => break Disposition::Quit,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn flushes_unless_a_complete_line_is_buffered() {
+        assert!(flush_due(b""));
+        assert!(flush_due(b"pi"));
+        assert!(!flush_due(b"ping\n"));
+        assert!(!flush_due(b"ping\npi"));
+    }
+
+    #[test]
+    fn drains_a_server_no_client_ever_reached() {
+        let config = ServerConfig {
+            prom_addr: Some("127.0.0.1:0".into()),
+            ..ServerConfig::default()
+        };
+        let server = Server::start(Arc::new(ServeEngine::new()), config).unwrap();
+        // A drain that never returns fails the test instead of hanging it.
+        let (tx, rx) = mpsc::channel();
+        let drainer = std::thread::spawn(move || tx.send(server.drain().is_ok()));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(true));
+        drainer.join().unwrap().unwrap();
     }
 }

@@ -53,6 +53,73 @@ fn bits(a: PowerAllocation) -> (u64, u64) {
     (a.proc.value().to_bits(), a.mem.value().to_bits())
 }
 
+/// A budget trajectory that walks the table up and down, with a few
+/// observation epochs interleaved — enough to move the coordinator
+/// through probe / accept / reject states.
+const BUDGETS: [f64; 6] = [176.0, 208.25, 190.0, 176.0, 240.0, 208.25];
+/// perf, proc_w, mem_w, cap_proc, cap_mem — the caps are filled in from
+/// the last allocation issued at replay time.
+const OBSERVATIONS: [[f64; 5]; 2] = [[0.91, 120.0, 55.0, 0.0, 0.0], [0.94, 118.0, 57.0, 0.0, 0.0]];
+
+/// Replay the request log against session `id` of the live daemon,
+/// returning every allocation it answered with.
+fn daemon_replay(engine: &ServeEngine, id: u64, budgets: &[f64]) -> Vec<PowerAllocation> {
+    let mut out = String::new();
+    let mut allocs = Vec::new();
+    for (i, b) in budgets.iter().enumerate() {
+        engine.dispatch_into(&format!("budget {id} {b}"), &mut out);
+        let last = parse_alloc_line(&out).unwrap_or_else(|| panic!("not an alloc line: {out}"));
+        allocs.push(last);
+        if let Some(obs) = OBSERVATIONS.get(i) {
+            // Observe against the exact caps the daemon just issued —
+            // rendered and re-parsed through the wire format.
+            engine.dispatch_into(
+                &format!(
+                    "observe {id} {} {} {} {} {}",
+                    obs[0],
+                    obs[1],
+                    obs[2],
+                    last.proc.value(),
+                    last.mem.value()
+                ),
+                &mut out,
+            );
+            let next = parse_alloc_line(&out)
+                .unwrap_or_else(|| panic!("observe response not an alloc line: {out}"));
+            allocs.push(next);
+        }
+        engine.dispatch_into(&format!("query {id}"), &mut out);
+        allocs.push(parse_alloc_line(&out).expect("query answers an alloc line"));
+    }
+    allocs
+}
+
+/// The same request log as offline coordinator calls.
+fn offline_replay(tuner: &mut OnlineCoordinator, budgets: &[f64]) -> Vec<PowerAllocation> {
+    let mut allocs = Vec::new();
+    for (i, b) in budgets.iter().enumerate() {
+        let last = match tuner.set_budget(Watts::new(*b)) {
+            BudgetOutcome::Applied => tuner.next_allocation(),
+            BudgetOutcome::Unchanged => tuner.best(),
+            other => panic!("offline budget rejected: {other:?}"),
+        };
+        allocs.push(last);
+        if let Some(obs) = OBSERVATIONS.get(i) {
+            offline_observe(tuner, [obs[0], obs[1], obs[2], last.proc.value(), last.mem.value()]);
+            allocs.push(tuner.next_allocation());
+        }
+        allocs.push(tuner.best());
+    }
+    allocs
+}
+
+fn assert_bit_identical(daemon: &[PowerAllocation], offline: &[PowerAllocation], what: &str) {
+    assert_eq!(daemon.len(), offline.len(), "{what}");
+    for (i, (d, o)) in daemon.iter().zip(offline).enumerate() {
+        assert_eq!(bits(*d), bits(*o), "{what} step {i}: daemon {d:?} != offline {o:?}");
+    }
+}
+
 #[test]
 fn replayed_request_log_is_bit_identical_to_offline_calls() {
     let engine = ServeEngine::new();
@@ -64,90 +131,53 @@ fn replayed_request_log_is_bit_identical_to_offline_calls() {
     );
     assert!(out.starts_with("alloc 1 "), "{out}");
 
-    // A budget trajectory that walks the table up and down, with a few
-    // observation epochs interleaved — enough to move the coordinator
-    // through probe / accept / reject states.
-    let budgets = [176.0, 208.25, 190.0, 176.0, 240.0, 208.25];
-    let observations: [[f64; 5]; 2] = [
-        // perf, proc_w, mem_w, cap_proc, cap_mem — the caps are filled
-        // in from the daemon's own last response at replay time.
-        [0.91, 120.0, 55.0, 0.0, 0.0],
-        [0.94, 118.0, 57.0, 0.0, 0.0],
-    ];
-
-    // --- live daemon path ------------------------------------------------
-    let mut daemon_allocs: Vec<PowerAllocation> = Vec::new();
-    let mut last = PowerAllocation::new(Watts::ZERO, Watts::ZERO);
-    for (i, b) in budgets.iter().enumerate() {
-        engine.dispatch_into(&format!("budget 1 {b}"), &mut out);
-        let alloc = parse_alloc_line(&out).unwrap_or_else(|| panic!("not an alloc line: {out}"));
-        daemon_allocs.push(alloc);
-        last = alloc;
-        if let Some(obs) = observations.get(i) {
-            // Observe against the exact caps the daemon just issued —
-            // rendered and re-parsed through the wire format.
-            engine.dispatch_into(
-                &format!(
-                    "observe 1 {} {} {} {} {}",
-                    obs[0],
-                    obs[1],
-                    obs[2],
-                    last.proc.value(),
-                    last.mem.value()
-                ),
-                &mut out,
-            );
-            let next = parse_alloc_line(&out)
-                .unwrap_or_else(|| panic!("observe response not an alloc line: {out}"));
-            daemon_allocs.push(next);
-            last = next;
-        }
-        engine.dispatch_into("query 1", &mut out);
-        let best = parse_alloc_line(&out).expect("query answers an alloc line");
-        daemon_allocs.push(best);
-    }
-    let _ = last;
-
-    // --- offline batch path ----------------------------------------------
+    let daemon_allocs = daemon_replay(&engine, 1, &BUDGETS);
     let mut tuner = offline_coordinator("ivybridge", "stream", 208.0);
-    let mut offline_allocs: Vec<PowerAllocation> = Vec::new();
-    let mut last = PowerAllocation::new(Watts::ZERO, Watts::ZERO);
-    for (i, b) in budgets.iter().enumerate() {
-        match tuner.set_budget(Watts::new(*b)) {
-            BudgetOutcome::Applied => {
-                let next = tuner.next_allocation();
-                offline_allocs.push(next);
-                last = next;
-            }
-            BudgetOutcome::Unchanged => {
-                offline_allocs.push(tuner.best());
-                last = tuner.best();
-            }
-            other => panic!("offline budget rejected: {other:?}"),
-        }
-        if let Some(obs) = observations.get(i) {
-            offline_observe(
-                &mut tuner,
-                [obs[0], obs[1], obs[2], last.proc.value(), last.mem.value()],
-            );
-            let next = tuner.next_allocation();
-            offline_allocs.push(next);
-            last = next;
-        }
-        offline_allocs.push(tuner.best());
-    }
-    let _ = last;
+    assert_bit_identical(&daemon_allocs, &offline_replay(&mut tuner, &BUDGETS), "node 1");
+}
 
-    assert_eq!(daemon_allocs.len(), offline_allocs.len());
-    for (i, (d, o)) in daemon_allocs.iter().zip(offline_allocs.iter()).enumerate() {
-        assert_eq!(
-            bits(*d),
-            bits(*o),
-            "step {i}: daemon {:?} != offline {:?}",
-            d,
-            o
+#[test]
+fn provisioned_sessions_replay_bit_identically_to_offline_calls() {
+    let engine = ServeEngine::new();
+    let mut out = String::new();
+    let classes = [("ivybridge", "stream", 208.0, 3u64), ("haswell", "dgemm", 190.5, 2)];
+    let mut ids = Vec::new();
+    for (platform, bench, budget, count) in classes {
+        engine.dispatch_into(&format!("provision {count} {platform} {bench} {budget}"), &mut out);
+        let base = ids.len() as u64;
+        assert!(
+            out.starts_with(&format!("ok provision base={base} count={count} ")),
+            "{out}"
         );
+        ids.extend((base..base + count).map(|id| (id, platform, bench, budget)));
     }
+    for (id, platform, bench, budget) in ids {
+        // Each class replays budgets inside its own schedulable range.
+        let budgets: Vec<f64> = BUDGETS.iter().map(|b| b * budget / 208.0).collect();
+        let daemon_allocs = daemon_replay(&engine, id, &budgets);
+        let mut tuner = offline_coordinator(platform, bench, budget);
+        let offline_allocs = offline_replay(&mut tuner, &budgets);
+        assert_bit_identical(&daemon_allocs, &offline_allocs, &format!("session {id}"));
+    }
+}
+
+#[test]
+fn a_rejected_provision_answers_what_node_answers() {
+    let engine = ServeEngine::new();
+    let (mut provision, mut node) = (String::new(), String::new());
+    for args in [
+        "nope stream 208",
+        "ivybridge nope 208",
+        "ivybridge sgemm 208",
+        "ivybridge stream NaN",
+        "ivybridge stream 1",
+    ] {
+        engine.dispatch_into(&format!("provision 4 {args}"), &mut provision);
+        engine.dispatch_into(&format!("node 99 {args}"), &mut node);
+        assert!(provision.starts_with("err "), "{args}: {provision}");
+        assert_eq!(provision, node, "{args}");
+    }
+    assert_eq!(engine.session_count(), 0);
 }
 
 #[test]

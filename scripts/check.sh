@@ -43,6 +43,8 @@ if cargo tree --workspace --edges normal,build --prefix none \
 fi
 
 echo "==> bench smoke (no timing claims, just 'still runs')"
+# Without `--bench` every bench binary runs each benchmark once; only
+# the `cargo bench` steps below time anything.
 cargo test -q -p pbc-bench --benches
 
 echo "==> trace round-trip (sweep accounting law, via a real trace file)"
@@ -163,6 +165,20 @@ test -n "$wf_ratio" \
 awk -v r="$wf_ratio" 'BEGIN { exit (r <= 12.0 ? 0 : 1) }' \
     || { echo "error: water-fill scaling ${wf_ratio}x breaks the 12x ceiling" >&2; exit 1; }
 echo "    water-fill scaling: ${wf_ratio}x"
+
+echo "==> serve provision gate (provision 512 <= 20x one Session::open)"
+# The fastpath bench records a 512-session provision over one session
+# opened by the full recipe, same class, table warm. A provision that
+# resolves the class once measures ~5-10x; resolving it per session,
+# ~300x.
+pv_ratio=$(grep '"type":"bench-ratio"' BENCH_sweep.json \
+    | grep '"name":"serve/provision-512-vs-open"' \
+    | sed 's/.*"ratio"://; s/[^0-9.].*//')
+test -n "$pv_ratio" \
+    || { echo "error: no provision bench-ratio record in BENCH_sweep.json" >&2; exit 1; }
+awk -v r="$pv_ratio" 'BEGIN { exit (r <= 20.0 ? 0 : 1) }' \
+    || { echo "error: provision 512 costs ${pv_ratio}x one open, above the 20x ceiling" >&2; exit 1; }
+echo "    provision cost: ${pv_ratio}x one open"
 
 echo "==> serve-bench gate (>= 100k queries/sec sustained, p99 dispatch < 50 us)"
 # Load-test the shipped daemon binary: thousands of concurrent simulated
