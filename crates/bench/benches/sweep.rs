@@ -18,9 +18,15 @@
 //! recorded as `cluster/water-fill-4096-vs-512`; `scripts/check.sh`
 //! holds it to at most 12, which an n log n fill meets (8× the nodes)
 //! and the old per-grant scan (~53×) does not.
+//!
+//! One whole dynamic fleet epoch (`set_global_budget`, then `step`:
+//! reports, fill, evaluation, enforcement) is timed on the same calm
+//! mix at 512 and 4096 nodes, the budget moving every iteration. The
+//! median ratio is recorded as `cluster/epoch-4096-vs-512`, which
+//! `scripts/check.sh` also gates.
 
 use pbc_bench::Bench;
-use pbc_cluster::{water_fill, Fleet, NodeCurve, SpecLine, DEFAULT_GRANT};
+use pbc_cluster::{water_fill, Fleet, FleetCoordinator, NodeCurve, SpecLine, DEFAULT_GRANT};
 use pbc_core::{sweep_budget, sweep_curve, PowerBoundedProblem, DEFAULT_STEP};
 use pbc_platform::presets::{ivybridge, titan_xp};
 use pbc_powersim::{solve, SolveMemo};
@@ -59,6 +65,7 @@ fn main() {
     solve_memo(&mut bench);
     cluster_water_fill(&mut bench);
     cluster_water_fill_scaling(&mut bench);
+    cluster_epoch_scaling(&mut bench);
 
     // The conservation law, over everything the timed runs accumulated.
     let counters = pbc_trace::snapshot().counters;
@@ -193,6 +200,39 @@ fn cluster_water_fill_scaling(bench: &mut Bench) {
     }
     if let [Some(small), Some(large)] = medians[..] {
         bench.record_ratio("cluster/water-fill-4096-vs-512", large / small);
+    }
+}
+
+/// Budget levels the epoch bench visits: whole watts evenly spread over
+/// 65–75 kW per 512 nodes.
+const EPOCH_LEVELS: usize = 25;
+/// Levels advanced per iteration; coprime to [`EPOCH_LEVELS`], so every
+/// level is visited and consecutive budgets are never equal.
+const EPOCH_STRIDE: usize = 7;
+
+/// One dynamic epoch on the calm fleet mix at 512 and 4096 nodes, with
+/// no faults and a new global budget every iteration. The median ratio
+/// shows how the whole epoch's cost grows with fleet size.
+fn cluster_epoch_scaling(bench: &mut Bench) {
+    let mut medians = Vec::new();
+    for nodes in [512, 4096] {
+        let per_512 = nodes as f64 / 512.0;
+        let mut coord = FleetCoordinator::new(calm_fleet(nodes), Watts::new(70_000.0 * per_512))
+            .expect("the budget covers the fleet floor");
+        coord.provision().expect("provisioning has no sink to fail");
+        let mut level = 0;
+        medians.push(bench.run(&format!("cluster/epoch-{nodes}"), || {
+            level = (level + EPOCH_STRIDE) % EPOCH_LEVELS;
+            let kw = 65.0 + 10.0 * level as f64 / (EPOCH_LEVELS - 1) as f64;
+            let budget = Watts::new((kw * 1000.0).round() * per_512);
+            coord.set_global_budget(black_box(budget)).expect("the budget covers the fleet floor");
+            let epoch = coord.step().expect("a calm epoch runs");
+            assert_eq!(epoch.nodes_up, nodes);
+            epoch
+        }));
+    }
+    if let [Some(small), Some(large)] = medians[..] {
+        bench.record_ratio("cluster/epoch-4096-vs-512", large / small);
     }
 }
 

@@ -5,6 +5,9 @@
 //!   of the same global budget on aggregate performance.
 //! * A chaos run with node dropouts finishes with
 //!   `cluster.budget_violations == 0`, read from a real `--trace` file.
+//! * A calm run re-prices every node on its first epoch and, after that,
+//!   only the nodes whose share moved (`cluster.evaluated_nodes`, read
+//!   from a real `--trace` file).
 
 use pbc_trace::json::{self, Value};
 use pbc_trace::names;
@@ -120,6 +123,38 @@ fn dropout_chaos_survives_and_the_trace_proves_it() {
         read(names::CLUSTER_BUDGET_VIOLATIONS),
         0,
         "an epoch enforced more power than the global budget"
+    );
+}
+
+#[test]
+fn calm_epochs_after_the_first_reprice_fewer_than_every_node() {
+    const NODES: u64 = 32;
+    const EPOCHS: u64 = 8;
+    let spec = temp_path("calm", "txt");
+    std::fs::write(&spec, FLEET_SPEC).expect("spec file writes");
+    let trace = temp_path("calm", "jsonl");
+    let output = Command::new(env!("CARGO_BIN_EXE_pbc"))
+        .args(["cluster", "-p", spec.to_str().unwrap(), "-b", "4200"])
+        .args(["--plan", "calm", "--epochs", &EPOCHS.to_string()])
+        .args(["--trace", trace.to_str().unwrap()])
+        .output()
+        .expect("pbc binary runs");
+    std::fs::remove_file(&spec).ok();
+    assert!(
+        output.status.success(),
+        "pbc cluster failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let counters = counters_from(&trace);
+    let evaluated = counters.get(names::CLUSTER_EVALUATED_NODES).copied().unwrap_or(0);
+    // The static COORD and uniform-split comparisons price every node
+    // from scratch, and so does the run's first epoch.
+    let first = 3 * NODES;
+    assert!(evaluated >= first, "only {evaluated} evaluations, fewer than {first}");
+    assert!(
+        evaluated - first < (EPOCHS - 1) * NODES,
+        "calm epochs after the first re-priced {} node-epochs, every node every epoch",
+        evaluated - first
     );
 }
 

@@ -5,9 +5,11 @@
 //! Layer one is the water-filling partition ([`crate::partition`]): the
 //! global budget becomes per-node shares ranked by marginal gain. Layer
 //! two is the paper's per-node COORD on each share, with the resulting
-//! allocation priced by the memo-backed power simulator — fanned out
-//! across nodes on the `pbc-par` pool, since every node's solve is
-//! independent.
+//! allocation priced by the memo-backed power simulator. A node's
+//! evaluation is a pure function of its class and share, and costs well
+//! under a microsecond, so it runs in order on the caller's thread, and
+//! the dynamic mode re-prices only the nodes whose share changed since
+//! their last pricing.
 //!
 //! The dynamic mode ([`FleetCoordinator::step`]) runs the full failure
 //! pipeline each epoch:
@@ -31,7 +33,10 @@
 //!    with Quarantined/Rejoining nodes reserved at their class floors
 //!    and Suspects capped at their standing grant (no raises on
 //!    untrusted telemetry).
-//! 6. **Enforcement lands**, decreases first, each write supervised by
+//! 6. **Shares are evaluated**: COORD and the memo-priced solve run
+//!    only for live nodes whose share bits moved; every other live node
+//!    reuses its last pricing. Stragglers' throughput is then slowed.
+//! 7. **Enforcement lands**, decreases first, each write supervised by
 //!    a [`RetryPolicy`] under a per-round attempt deadline: watts freed
 //!    by confirmed lowerings (and by dead nodes) fund the raises; a
 //!    failed lowering keeps its watts reserved; a blown deadline ends
@@ -41,18 +46,17 @@
 //!    zero by construction, not by luck.
 
 use crate::degrade::StaticFallback;
-use crate::fleet::Fleet;
+use crate::fleet::{Fleet, NodeClass};
 use crate::health::{HealthConfig, HealthCounts, HealthTracker, NodeHealth, ReportVerdict};
 use crate::partition::{fill_shares, uniform_split, NodeCurve, Objective, DEFAULT_GRANT};
 use crate::tenant::{jain_index, TenantSet};
 use pbc_faults::inject::{decision_rng, write_key};
 use pbc_faults::{FaultClock, FleetFaultPlan};
-use pbc_par::Pool;
 use pbc_powersim::SolveMemo;
 use pbc_rapl::RetryPolicy;
 use pbc_trace::names;
 use pbc_types::{PbcError, PowerAllocation, Result, Watts, CAP_QUANTUM};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Weyl-ish odd constant spreading ticks across the seed space (the
 /// same one `pbc_faults::inject` uses, so cluster draws mix as well).
@@ -228,6 +232,15 @@ impl ClusterReport {
     }
 }
 
+/// One node's last evaluation: the share it priced, by bits, and what
+/// COORD and the simulator made of it (before any straggler slowdown).
+#[derive(Debug, Clone, Copy)]
+struct Priced {
+    share_bits: u64,
+    alloc: Option<PowerAllocation>,
+    perf: f64,
+}
+
 /// What supervised enforcement did in one round.
 #[derive(Debug, Clone, Copy, Default)]
 struct WriteStats {
@@ -273,8 +286,13 @@ pub struct FleetCoordinator {
     enforced_hist: Vec<Watts>,
     /// Target shares of the previous epoch, for redistribution stats.
     prev_targets: Vec<Watts>,
-    /// Per-node throughput of the previous epoch (what reports carry).
-    last_perfs: Vec<f64>,
+    /// The previous epoch's decision, stragglers slowed; reports carry
+    /// its per-node throughput (zero before the first epoch).
+    last: Option<ClusterDecision>,
+    /// Each class's shared solver memo, resolved once at construction.
+    memos: Vec<Arc<SolveMemo>>,
+    /// Each node's last pricing, reused while its share's bits hold.
+    priced: Vec<Option<Priced>>,
     /// `Some(t)` when the node is down until tick `t`.
     down_until: Vec<Option<usize>>,
     /// `Some(t)` when the node straggles until tick `t`.
@@ -346,7 +364,13 @@ impl FleetCoordinator {
             enforced: vec![Watts::ZERO; n],
             enforced_hist: vec![Watts::ZERO; n],
             prev_targets: vec![Watts::ZERO; n],
-            last_perfs: vec![0.0; n],
+            last: None,
+            memos: fleet
+                .classes
+                .iter()
+                .map(|c| SolveMemo::for_problem(&c.platform, &c.demand))
+                .collect(),
+            priced: vec![None; n],
             down_until: vec![None; n],
             straggle_until: vec![None; n],
             write_outage_until: vec![None; n],
@@ -511,19 +535,13 @@ impl FleetCoordinator {
         Ok(())
     }
 
-    /// Water-fill the global budget and evaluate every node's share, on
-    /// the global pool.
+    /// Water-fill the global budget and evaluate every node's share
+    /// from scratch.
     #[must_use = "the decision result carries either the partition or the failure"]
     pub fn coordinate(&self) -> Result<ClusterDecision> {
-        self.coordinate_with_pool(Pool::global())
-    }
-
-    /// [`FleetCoordinator::coordinate`] on an explicit pool.
-    #[must_use = "the decision result carries either the partition or the failure"]
-    pub fn coordinate_with_pool(&self, pool: &Pool) -> Result<ClusterDecision> {
         let curves = self.node_curves();
         let shares = fill_shares(&curves, &[], self.global, self.grant, self.objective)?;
-        evaluate(&self.fleet, &shares, &vec![false; self.fleet.len()], pool)
+        self.evaluate_fresh(&shares)
     }
 
     /// The baseline: split the global budget evenly, floors and curves
@@ -532,14 +550,13 @@ impl FleetCoordinator {
     /// saturated ones — the gap the experiments measure.
     #[must_use = "the decision result carries either the partition or the failure"]
     pub fn uniform_decision(&self) -> Result<ClusterDecision> {
-        self.uniform_decision_with_pool(Pool::global())
+        self.evaluate_fresh(&uniform_split(self.fleet.len(), self.global))
     }
 
-    /// [`FleetCoordinator::uniform_decision`] on an explicit pool.
-    #[must_use = "the decision result carries either the partition or the failure"]
-    pub fn uniform_decision_with_pool(&self, pool: &Pool) -> Result<ClusterDecision> {
-        let shares = uniform_split(self.fleet.len(), self.global);
-        evaluate(&self.fleet, &shares, &vec![false; self.fleet.len()], pool)
+    /// Evaluate `shares` with every node live and no pricing to reuse.
+    fn evaluate_fresh(&self, shares: &[Watts]) -> Result<ClusterDecision> {
+        let n = self.fleet.len();
+        evaluate(&self.fleet, &self.memos, &mut vec![None; n], shares, &vec![false; n])
     }
 
     /// The oracle aggregate at the water-filled shares: what the
@@ -556,16 +573,9 @@ impl FleetCoordinator {
             .sum())
     }
 
-    /// One dynamic epoch on the global pool (see the module docs for
-    /// the pipeline).
+    /// One dynamic epoch (see the module docs for the pipeline).
     #[must_use = "the epoch result carries either the report or the failure"]
     pub fn step(&mut self) -> Result<EpochReport> {
-        self.step_with_pool(Pool::global())
-    }
-
-    /// [`FleetCoordinator::step`] on an explicit pool.
-    #[must_use = "the epoch result carries either the report or the failure"]
-    pub fn step_with_pool(&mut self, pool: &Pool) -> Result<EpochReport> {
         let tick = self.clock.advance();
         let n = self.fleet.len();
 
@@ -609,19 +619,9 @@ impl FleetCoordinator {
             }
         }
 
-        let mut decision = evaluate(&self.fleet, &targets, &down, pool)?;
-        // Stragglers run slow: their contribution shrinks by the plan's
-        // slowdown factor.
-        let mut dirty = false;
-        for i in 0..n {
-            if self.straggle_until[i].is_some() && !down[i] {
-                decision.perfs[i] *= self.plan.nodes.slowdown;
-                dirty = true;
-            }
-        }
-        if dirty {
-            decision.aggregate_perf = decision.perfs.iter().sum();
-        }
+        let mut decision =
+            evaluate(&self.fleet, &self.memos, &mut self.priced, &targets, &down)?;
+        self.slow_stragglers(&mut decision, &down);
 
         let stats = self.enforce_supervised(tick, &targets, &down);
         self.prev_round_timed_out = stats.timed_out;
@@ -648,7 +648,8 @@ impl FleetCoordinator {
         }
         self.prev_targets = targets;
         self.enforced_hist = prev_enforced;
-        self.last_perfs = decision.perfs.clone();
+        let aggregate_perf = decision.aggregate_perf;
+        self.last = Some(decision);
 
         // Watts the healthy pool gained from nodes that are down or
         // held at their floors, measured against the known-safe static
@@ -673,7 +674,7 @@ impl FleetCoordinator {
         pbc_trace::counter(names::CLUSTER_EPOCHS).incr();
         pbc_trace::gauge(names::CLUSTER_NODES_UP).set(up as f64);
         pbc_trace::gauge(names::CLUSTER_MOVED_W).set(moved.value());
-        pbc_trace::gauge(names::CLUSTER_AGGREGATE_PERF).set(decision.aggregate_perf);
+        pbc_trace::gauge(names::CLUSTER_AGGREGATE_PERF).set(aggregate_perf);
         pbc_trace::gauge(names::CLUSTER_RECLAIMED_W).set(reclaimed.value());
         pbc_trace::gauge(names::HEALTH_HEALTHY_NODES).set(health.healthy as f64);
 
@@ -689,7 +690,7 @@ impl FleetCoordinator {
             degraded,
             round_timed_out: stats.timed_out,
             health,
-            aggregate_perf: decision.aggregate_perf,
+            aggregate_perf,
             enforced_total,
             moved,
             reclaimed,
@@ -704,12 +705,6 @@ impl FleetCoordinator {
     /// Run `epochs` dynamic epochs and summarize.
     #[must_use = "the run result carries either the survival report or the failure"]
     pub fn run(&mut self, epochs: usize) -> Result<ClusterReport> {
-        self.run_with_pool(epochs, Pool::global())
-    }
-
-    /// [`FleetCoordinator::run`] on an explicit pool.
-    #[must_use = "the run result carries either the survival report or the failure"]
-    pub fn run_with_pool(&mut self, epochs: usize, pool: &Pool) -> Result<ClusterReport> {
         let n = self.fleet.len();
         let quiet = self.plan.quiet_after();
         let tally_before = self.health.tally();
@@ -721,7 +716,7 @@ impl FleetCoordinator {
         };
         let mut healthy_node_epochs = 0usize;
         for _ in 0..epochs {
-            let e = self.step_with_pool(pool)?;
+            let e = self.step()?;
             report.epochs += 1;
             report.dropouts += e.dropped;
             report.recoveries += e.recovered;
@@ -765,6 +760,22 @@ impl FleetCoordinator {
             report.availability = healthy_node_epochs as f64 / (report.epochs * n.max(1)) as f64;
         }
         Ok(report)
+    }
+
+    /// Stragglers run slow: their contribution shrinks by the plan's
+    /// slowdown factor.
+    fn slow_stragglers(&self, decision: &mut ClusterDecision, down: &[bool]) {
+        let mut dirty = false;
+        let nodes = decision.perfs.iter_mut().zip(&self.straggle_until).zip(down);
+        for ((perf, until), &down) in nodes {
+            if until.is_some() && !down {
+                *perf *= self.plan.nodes.slowdown;
+                dirty = true;
+            }
+        }
+        if dirty {
+            decision.aggregate_perf = decision.perfs.iter().sum();
+        }
     }
 
     fn node_curves(&self) -> Vec<NodeCurve<'_>> {
@@ -954,7 +965,7 @@ impl FleetCoordinator {
         // throughput it measured. A straggler lags one epoch further
         // behind, so its cap snapshot is one epoch staler.
         let mut cap = prev_enforced[node];
-        let mut perf = self.last_perfs[node];
+        let mut perf = self.last.as_ref().map_or(0.0, |d| d.perfs[node]);
         if self.straggle_until[node].is_some() {
             cap = self.enforced_hist[node];
         }
@@ -1207,73 +1218,68 @@ impl FleetCoordinator {
     }
 }
 
-/// Coordinate and price every node's share, fanned out on `pool`. Down
-/// nodes contribute nothing without touching the infeasibility counter;
-/// an infeasible share (COORD or the solver refusing it) scores 0.0;
-/// real solver errors fail the whole evaluation; worker panics re-raise
-/// on the caller.
-fn evaluate(fleet: &Fleet, shares: &[Watts], down: &[bool], pool: &Pool) -> Result<ClusterDecision> {
+/// Coordinate and price every live node's share, in node order on the
+/// calling thread. A live node re-runs COORD and the memo-priced solve
+/// (counted under `cluster.evaluated_nodes`) only when its share's bits
+/// differ from its `priced` entry's; down nodes score 0.0 and keep
+/// their entries. An infeasible share scores 0.0 and counts under
+/// `cluster.infeasible_nodes`, reused or not; a real solver error fails
+/// the evaluation.
+fn evaluate(
+    fleet: &Fleet,
+    memos: &[Arc<SolveMemo>],
+    priced: &mut [Option<Priced>],
+    shares: &[Watts],
+    down: &[bool],
+) -> Result<ClusterDecision> {
     let n = shares.len();
-    type Slot = Mutex<Option<Result<(Option<PowerAllocation>, f64)>>>;
-    let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-    let memos: Vec<Arc<SolveMemo>> = fleet
-        .classes
-        .iter()
-        .map(|c| SolveMemo::for_problem(&c.platform, &c.demand))
-        .collect();
-    let task = |i: usize| {
-        let out = if down[i] {
-            Ok((None, 0.0))
-        } else {
-            eval_node(fleet, &memos, i, shares[i])
-        };
-        if let Ok(mut slot) = slots[i].lock() {
-            *slot = Some(out);
-        }
-    };
-    let stats = pool.run(n, &task);
-    if let Some(payload) = stats.panic {
-        std::panic::resume_unwind(payload);
-    }
     let mut allocs = Vec::with_capacity(n);
     let mut perfs = Vec::with_capacity(n);
     let mut infeasible = 0;
-    for (i, slot) in slots.into_iter().enumerate() {
-        let taken = slot.into_inner().unwrap_or(None);
-        match taken {
-            Some(Ok((alloc, perf))) => {
-                if alloc.is_none() && !down[i] {
-                    infeasible += 1;
-                    pbc_trace::counter(names::CLUSTER_INFEASIBLE_NODES).incr();
-                }
-                allocs.push(alloc);
-                perfs.push(perf);
-            }
-            Some(Err(e)) => return Err(e),
-            None => {
-                return Err(PbcError::InvalidInput(format!(
-                    "cluster evaluation lost node {i} (worker never reported)"
-                )))
-            }
+    let mut evaluated = 0;
+    for i in 0..n {
+        if down[i] {
+            allocs.push(None);
+            perfs.push(0.0);
+            continue;
         }
+        let share_bits = shares[i].value().to_bits();
+        let p = match priced[i] {
+            Some(p) if p.share_bits == share_bits => p,
+            _ => {
+                let (alloc, perf) =
+                    eval_node(fleet.class_of(i), &memos[fleet.nodes[i]], shares[i])?;
+                evaluated += 1;
+                let p = Priced { share_bits, alloc, perf };
+                priced[i] = Some(p);
+                p
+            }
+        };
+        if p.alloc.is_none() {
+            infeasible += 1;
+        }
+        allocs.push(p.alloc);
+        perfs.push(p.perf);
+    }
+    pbc_trace::counter(names::CLUSTER_EVALUATED_NODES).add(evaluated as u64);
+    if infeasible > 0 {
+        pbc_trace::counter(names::CLUSTER_INFEASIBLE_NODES).add(infeasible as u64);
     }
     let aggregate_perf = perfs.iter().sum();
     Ok(ClusterDecision { shares: shares.to_vec(), allocs, perfs, aggregate_perf, infeasible })
 }
 
 fn eval_node(
-    fleet: &Fleet,
-    memos: &[Arc<SolveMemo>],
-    node: usize,
+    class: &NodeClass,
+    memo: &SolveMemo,
     share: Watts,
 ) -> Result<(Option<PowerAllocation>, f64)> {
-    let class = fleet.class_of(node);
     let coord = match class.coordinate(share) {
         Ok(r) => r,
         Err(e) if e.is_infeasible() => return Ok((None, 0.0)),
         Err(e) => return Err(e),
     };
-    match memos[fleet.nodes[node]].solve(coord.alloc) {
+    match memo.solve(coord.alloc) {
         Ok(op) => Ok((Some(coord.alloc), op.perf_rel)),
         Err(e) if e.is_infeasible() => Ok((None, 0.0)),
         Err(e) => Err(e),
@@ -1426,17 +1432,16 @@ mod tests {
     fn chaos_replays_are_bit_identical() {
         let fleet = mixed_fleet();
         let global = fleet.min_total_power() + Watts::new(150.0);
-        let run = |threads: usize| {
-            let pool = Pool::new(threads);
+        let run = || {
             let mut coord = FleetCoordinator::new(fleet.clone(), global)
                 .unwrap()
                 .with_plan(FleetFaultPlan::everything(11))
                 .unwrap();
-            coord.run_with_pool(30, &pool).unwrap()
+            coord.run(30).unwrap()
         };
-        let a = run(1);
-        let b = run(4);
-        assert_eq!(a, b, "the same plan must replay identically across thread counts");
+        let a = run();
+        let b = run();
+        assert_eq!(a, b, "the same plan must replay identically");
     }
 
     #[test]
@@ -1464,19 +1469,18 @@ mod tests {
         let fleet = mixed_fleet();
         let global = fleet.min_total_power() + Watts::new(150.0);
         for objective in [Objective::MaxMin, Objective::WeightedShares] {
-            let run = |threads: usize| {
-                let pool = Pool::new(threads);
+            let run = || {
                 let mut coord = FleetCoordinator::new(fleet.clone(), global)
                     .unwrap()
                     .with_plan(FleetFaultPlan::demand_spike(13))
                     .unwrap()
                     .with_objective(objective)
                     .with_tenants(TenantSet::parse("a:1:gold,b:2").unwrap());
-                coord.run_with_pool(24, &pool).unwrap()
+                coord.run(24).unwrap()
             };
-            let a = run(1);
-            let b = run(4);
-            assert_eq!(a, b, "{} runs must replay identically across thread counts", objective.name());
+            let a = run();
+            let b = run();
+            assert_eq!(a, b, "{} runs must replay identically", objective.name());
         }
     }
 
@@ -1501,6 +1505,125 @@ mod tests {
         assert_eq!(a.work_done, b.work_done, "a lone tenant owns every watt the node gets");
         assert_eq!(b.tenant_floor_violations, 0);
         assert!((b.min_tenant_jain - 1.0).abs() < 1e-12, "one tenant is perfectly fair");
+    }
+
+    /// A decision as bits: shares, allocations, perfs, the aggregate and
+    /// the infeasible count, so equality means bit-identical.
+    type DecisionBits = (Vec<u64>, Vec<Option<(u64, u64)>>, Vec<u64>, u64, usize);
+
+    fn decision_bits(d: &ClusterDecision) -> DecisionBits {
+        (
+            d.shares.iter().map(|s| s.value().to_bits()).collect(),
+            d.allocs
+                .iter()
+                .map(|a| a.map(|a| (a.proc.value().to_bits(), a.mem.value().to_bits())))
+                .collect(),
+            d.perfs.iter().map(|p| p.to_bits()).collect(),
+            d.aggregate_perf.to_bits(),
+            d.infeasible,
+        )
+    }
+
+    /// Step `coord` for `epochs` epochs, calling `before_step` ahead of
+    /// each, and compare every epoch's cached evaluation with a
+    /// from-scratch evaluation of the same targets, straggler slowdown
+    /// applied to both. Returns the first divergence, or how many live
+    /// node-epochs found their share already priced.
+    fn check_cache_against_fresh(
+        coord: &mut FleetCoordinator,
+        epochs: usize,
+        mut before_step: impl FnMut(&mut FleetCoordinator),
+    ) -> std::result::Result<usize, String> {
+        let n = coord.fleet.len();
+        let mut reused = 0;
+        for _ in 0..epochs {
+            before_step(coord);
+            let before = coord.priced.clone();
+            let report = coord.step().unwrap();
+            let down = coord.down_mask();
+            let targets = &coord.prev_targets;
+            reused += (0..n)
+                .filter(|&i| {
+                    let bits = targets[i].value().to_bits();
+                    !down[i] && before[i].is_some_and(|p| p.share_bits == bits)
+                })
+                .count();
+            let mut fresh =
+                evaluate(&coord.fleet, &coord.memos, &mut vec![None; n], targets, &down).unwrap();
+            coord.slow_stragglers(&mut fresh, &down);
+            let cached = decision_bits(coord.last.as_ref().unwrap());
+            if cached != decision_bits(&fresh)
+                || report.aggregate_perf.to_bits() != fresh.aggregate_perf.to_bits()
+            {
+                return Err(format!(
+                    "tick {}: cached {cached:?} vs fresh {:?}",
+                    report.tick,
+                    decision_bits(&fresh)
+                ));
+            }
+        }
+        Ok(reused)
+    }
+
+    /// The calm fleet mix (half ivybridge/stream, a quarter each
+    /// haswell/dgemm and titan-xp/sgemm) at `nodes` nodes.
+    fn scaled_fleet(nodes: usize) -> Fleet {
+        let spec = format!(
+            "{} ivybridge stream\n{} haswell dgemm\n{} titan-xp sgemm\n",
+            nodes / 2,
+            nodes / 4,
+            nodes / 4
+        );
+        Fleet::build(&parse_spec(&spec).unwrap()).unwrap()
+    }
+
+    fn tenanted(fleet: Fleet, plan: FleetFaultPlan, objective: Objective) -> FleetCoordinator {
+        let global = fleet.min_total_power() + Watts::new(18.0 * fleet.len() as f64);
+        FleetCoordinator::new(fleet, global)
+            .unwrap()
+            .with_plan(plan)
+            .unwrap()
+            .with_objective(objective)
+            .with_tenants(TenantSet::parse("web:3:gold,etl:2:silver,batch:1").unwrap())
+    }
+
+    #[test]
+    fn cached_evaluation_matches_a_from_scratch_one_every_epoch() {
+        for nodes in [8, 32] {
+            let fleet = scaled_fleet(nodes);
+            for plan in [FleetFaultPlan::everything(5), FleetFaultPlan::noisy_neighbor(9)] {
+                for objective in [Objective::Throughput, Objective::MaxMin] {
+                    let epochs = plan.quiet_after() + 6;
+                    let mut coord = tenanted(fleet.clone(), plan.clone(), objective);
+                    let label = format!("{nodes} nodes, plan {}, {}", plan.name, objective.name());
+                    let reused = check_cache_against_fresh(&mut coord, epochs, |_| {})
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert!(reused > 0, "{label}: no epoch reused a pricing");
+                }
+            }
+        }
+    }
+
+    /// The check is not vacuous: a cache keyed on the node alone, which
+    /// reuses a node's pricing whatever its new share, fails it. A twin
+    /// coordinator stepped in lockstep reveals each epoch's targets
+    /// first, so the planted cache can claim every entry matches them.
+    #[test]
+    fn a_cache_keyed_on_the_node_alone_fails_the_equivalence_check() {
+        let fleet = scaled_fleet(8);
+        let plan = FleetFaultPlan::everything(5);
+        let epochs = plan.quiet_after() + 6;
+        let mut twin = tenanted(fleet.clone(), plan.clone(), Objective::Throughput);
+        let mut coord = tenanted(fleet, plan, Objective::Throughput);
+        let checked = check_cache_against_fresh(&mut coord, epochs, |c| {
+            let _ = twin.step().unwrap();
+            for (entry, target) in c.priced.iter_mut().zip(&twin.prev_targets) {
+                if let Some(p) = entry {
+                    p.share_bits = target.value().to_bits();
+                }
+            }
+        });
+        assert!(checked.is_err(), "a node-keyed cache must fail the equivalence check");
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! they share a demand model, a floor, a COORD profile, and a
 //! [`PerfCurve`], so a 128-node fleet with six classes profiles six
 //! curves, not 128. Per-class profiling goes through the shared-grid
-//! oracle (one pooled sweep per class); per-node coordination later fans
-//! out across nodes on the same pool.
+//! oracle (one pooled sweep per class); per-node coordination later runs
+//! on the coordinator's own thread.
 
 use crate::curve::{node_ceiling, node_floor, PerfCurve};
 use pbc_core::{CriticalPowers, GpuCoordParams};

@@ -20,9 +20,10 @@
 //! * [`fleet::Fleet`] — heterogeneous node specs (`COUNT PLATFORM
 //!   BENCH` text lines), deduplicated into profiled classes;
 //! * [`coordinator::FleetCoordinator`] — water-fill, then per-node
-//!   COORD and memo-priced simulation fanned out on the `pbc-par`
-//!   pool; a dynamic mode replays `pbc_faults::FleetFaultPlan`
-//!   scenarios (crashes, stragglers, report loss, write outages,
+//!   COORD and memo-priced simulation, re-run each epoch only for
+//!   the nodes whose share moved; a dynamic mode replays
+//!   `pbc_faults::FleetFaultPlan` scenarios (crashes, stragglers,
+//!   report loss, write outages,
 //!   coordinator outages, budget steps) under the determinism
 //!   contract, with decreases-first enforcement keeping
 //!   `Σ enforced ≤ global` invariant;

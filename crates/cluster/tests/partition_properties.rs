@@ -118,7 +118,8 @@ fn partition_is_bit_identical_across_thread_counts() {
 }
 
 /// Same property one layer up: the full coordinate() decision (shares,
-/// allocations, priced performance) replays bit-identically.
+/// allocations, priced performance) on fleets profiled at different
+/// thread counts replays bit-identically.
 #[test]
 fn cluster_decisions_are_bit_identical_across_thread_counts() {
     let decide = |threads: usize| {
@@ -126,7 +127,7 @@ fn cluster_decisions_are_bit_identical_across_thread_counts() {
         let fleet = mixed_fleet(&pool);
         let global = fleet.min_total_power() + Watts::new(200.0);
         let coord = ClusterCoordinator::new(fleet, global).unwrap();
-        let d = coord.coordinate_with_pool(&pool).unwrap();
+        let d = coord.coordinate().unwrap();
         let shares: Vec<u64> = d.shares.iter().map(|s| s.value().to_bits()).collect();
         let perfs: Vec<u64> = d.perfs.iter().map(|p| p.to_bits()).collect();
         (shares, perfs, d.aggregate_perf.to_bits())

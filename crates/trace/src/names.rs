@@ -185,6 +185,9 @@ pub const CLUSTER_WRITE_FAILURES: &str = "cluster.write_failures";
 /// Nodes whose share could not be scheduled (COORD or the solver
 /// refused it); they idle at zero performance for the epoch.
 pub const CLUSTER_INFEASIBLE_NODES: &str = "cluster.infeasible_nodes";
+/// Live nodes whose share COORD and the simulator actually re-priced;
+/// a node whose share's bits did not move reuses its last pricing.
+pub const CLUSTER_EVALUATED_NODES: &str = "cluster.evaluated_nodes";
 /// Epochs that ended with the summed enforced caps above the global
 /// budget. **Must read zero on every run** — decreases-first
 /// enforcement makes a violation structurally impossible.
