@@ -11,18 +11,20 @@
 //! the dynamic mode re-prices only the nodes whose share changed since
 //! their last pricing.
 //!
-//! The dynamic mode ([`FleetCoordinator::step`]) runs the full failure
-//! pipeline each epoch:
+//! The dynamic mode ([`FleetCoordinator::step`]) is the paper's
+//! observe → decide → enforce loop at fleet scale. Every fault it meets
+//! is decided by one [`FleetFaults`] (in `pbc-faults`): the armed
+//! [`FleetFaultPlan`] and the episodes in flight. Each epoch runs:
 //!
-//! 1. **Faults roll** from the armed [`FleetFaultPlan`] — crashes,
-//!    stragglers, write outages — each from a fresh `XorShift64Star`
-//!    keyed `(seed, tick, stream, node)`
-//!    ([`pbc_faults::inject::decision_rng`]), never shared state, so a
-//!    chaos run is bit-identical under any `PBC_THREADS`.
+//! 1. **Faults roll**: crashes, stragglers, write outages and tenant
+//!    demand episodes start and end, each draw from a fresh generator
+//!    keyed `(seed, tick, stream, entity)`, never shared state, so a
+//!    chaos run replays bit-identically.
 //! 2. **Reports arrive** (or don't): every node's observation of the
-//!    previous epoch passes the same validation gate
-//!    `OnlineCoordinator` applies — non-finite, out-of-range, and
-//!    stale-cap rejection — before it may steer the partition.
+//!    previous epoch, dropped, delayed or garbled on the way, passes
+//!    the observation rule `OnlineCoordinator` also applies
+//!    ([`pbc_core::validate_observation`]: non-finite, out-of-range and
+//!    stale-cap rejection) before it may steer the partition.
 //! 3. **Health updates**: verdicts drive the per-node Healthy →
 //!    Suspect → Quarantined → Rejoining machine ([`crate::health`]).
 //! 4. **Mode decides**: a coordinator outage, a timed-out previous
@@ -36,52 +38,31 @@
 //! 6. **Shares are evaluated**: COORD and the memo-priced solve run
 //!    only for live nodes whose share bits moved; every other live node
 //!    reuses its last pricing. Stragglers' throughput is then slowed.
-//! 7. **Enforcement lands**, decreases first, each write supervised by
-//!    a [`RetryPolicy`] under a per-round attempt deadline: watts freed
-//!    by confirmed lowerings (and by dead nodes) fund the raises; a
-//!    failed lowering keeps its watts reserved; a blown deadline ends
-//!    the round and degrades the next epoch. The pot for raises only
-//!    ever shrinks, so `Σ enforced ≤ global` is an invariant —
-//!    `cluster.budget_violations` and `health.quarantine_leaks` stay
-//!    zero by construction, not by luck.
+//! 7. **Enforcement lands**, decreases first, each write tried up to
+//!    four times back to back under a per-round attempt deadline:
+//!    watts freed by confirmed lowerings (and by dead nodes) fund the
+//!    raises; a failed lowering keeps its watts reserved; a blown
+//!    deadline ends the round and degrades the next epoch. The pot for
+//!    raises only ever shrinks, so `Σ enforced ≤ global` is an
+//!    invariant — `cluster.budget_violations` and
+//!    `health.quarantine_leaks` stay zero by construction, not by luck.
 
 use crate::degrade::StaticFallback;
 use crate::fleet::{Fleet, NodeClass};
-use crate::health::{HealthConfig, HealthCounts, HealthTracker, NodeHealth, ReportVerdict};
+use crate::health::{HealthCounts, HealthTracker, NodeHealth, ReportVerdict};
 use crate::partition::{fill_shares, uniform_split, NodeCurve, Objective, DEFAULT_GRANT};
 use crate::tenant::{jain_index, TenantSet};
-use pbc_faults::inject::{decision_rng, write_key};
-use pbc_faults::{FaultClock, FleetFaultPlan};
+use pbc_core::{validate_observation, ObservationOutcome};
+use pbc_faults::{FaultClock, FleetFaultPlan, FleetFaults};
 use pbc_powersim::SolveMemo;
 use pbc_rapl::RetryPolicy;
 use pbc_trace::names;
 use pbc_types::{PbcError, PowerAllocation, Result, Watts, CAP_QUANTUM};
 use std::sync::Arc;
 
-/// Weyl-ish odd constant spreading ticks across the seed space (the
-/// same one `pbc_faults::inject` uses, so cluster draws mix as well).
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-/// Stream constant for node crash/rejoin decisions.
-const STREAM_NODE: u64 = 0x5EED_0011;
-/// Stream constant for cap-write fault decisions.
-const STREAM_CAP: u64 = 0x5EED_0012;
-/// Stream constant for observation-report fault decisions.
-const STREAM_REPORT: u64 = 0x5EED_0013;
-/// Stream constant for straggler onset decisions.
-const STREAM_STRAGGLE: u64 = 0x5EED_0014;
-/// Stream constant for per-node write-outage onset decisions.
-const STREAM_WRITE_OUTAGE: u64 = 0x5EED_0015;
-/// Stream constant for per-tenant demand-spike onset decisions.
-const STREAM_TENANT_SPIKE: u64 = 0x5EED_0016;
-/// Stream constant for per-tenant noisy-neighbor onset decisions.
-const STREAM_TENANT_NOISY: u64 = 0x5EED_0017;
-/// Reported throughput surrogates above this are sensor garbage — the
-/// same bar `OnlineConfig::max_credible_perf` defaults to.
-const MAX_CREDIBLE_PERF: f64 = 8.0;
-/// How far a reported cap may sit from the cap we enforced before the
-/// report is judged stale (one enforcement quantum, as in
-/// `pbc_core::online`).
-const STALE_CAP_TOLERANCE: f64 = CAP_QUANTUM;
+/// Attempts per cap write, retries included; retries run back to back,
+/// so fault storms replay at full speed.
+const WRITE_ATTEMPTS: u32 = RetryPolicy::no_backoff().max_attempts;
 
 /// Where a node's cap writes land. The simulated chaos runs wire this
 /// to a mock RAPL sysfs tree so "enforced" means a real file changed;
@@ -273,9 +254,9 @@ pub struct FleetCoordinator {
     /// factors of this.
     initial_global: Watts,
     grant: Watts,
-    plan: FleetFaultPlan,
+    /// The armed fault plan and every fault episode in flight.
+    faults: FleetFaults,
     clock: FaultClock,
-    retry: RetryPolicy,
     health: HealthTracker,
     fallback: StaticFallback,
     /// Cap currently enforced on each node (starts at zero: nothing has
@@ -293,12 +274,6 @@ pub struct FleetCoordinator {
     memos: Vec<Arc<SolveMemo>>,
     /// Each node's last pricing, reused while its share's bits hold.
     priced: Vec<Option<Priced>>,
-    /// `Some(t)` when the node is down until tick `t`.
-    down_until: Vec<Option<usize>>,
-    /// `Some(t)` when the node straggles until tick `t`.
-    straggle_until: Vec<Option<usize>>,
-    /// `Some(t)` when the node's cap-write path is out until tick `t`.
-    write_outage_until: Vec<Option<usize>>,
     /// The previous enforcement round blew its deadline; this epoch
     /// must run degraded.
     prev_round_timed_out: bool,
@@ -308,21 +283,14 @@ pub struct FleetCoordinator {
     objective: Objective,
     /// Tenants co-located on every node; `None` runs single-tenant.
     tenants: Option<TenantSet>,
-    /// `Some(t)` when the tenant's demand spike lasts until tick `t`.
-    tenant_spike_until: Vec<Option<usize>>,
-    /// `Some(t)` when the tenant hogs as a noisy neighbor until `t`.
-    tenant_noisy_until: Vec<Option<usize>>,
 }
-
-/// The historical name, kept alive for callers from the pre-health era.
-pub type ClusterCoordinator = FleetCoordinator;
 
 impl std::fmt::Debug for FleetCoordinator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetCoordinator")
             .field("nodes", &self.fleet.len())
             .field("global", &self.global)
-            .field("plan", &self.plan.name)
+            .field("plan", &self.faults.plan().name)
             .field("health", &self.health.counts())
             .field("sink", &self.sink.is_some())
             .finish_non_exhaustive()
@@ -335,15 +303,7 @@ impl FleetCoordinator {
     /// which also guarantees a static fallback partition exists.
     #[must_use = "the coordinator result carries either the coordinator or the infeasibility"]
     pub fn new(fleet: Fleet, global: Watts) -> Result<Self> {
-        if !global.is_valid() || global.value() <= 0.0 {
-            return Err(PbcError::InvalidInput(format!(
-                "global budget must be a positive finite wattage, got {global:?}"
-            )));
-        }
-        let minimum = fleet.min_total_power();
-        if global < minimum {
-            return Err(PbcError::BudgetTooSmall { requested: global, minimum });
-        }
+        check_budget(&fleet, global)?;
         let fallback = StaticFallback::compute(&fleet, global)?;
         let n = fleet.len();
         pbc_trace::gauge(names::CLUSTER_NODES).set(n as f64);
@@ -356,10 +316,9 @@ impl FleetCoordinator {
             global,
             initial_global: global,
             grant: DEFAULT_GRANT,
-            plan: FleetFaultPlan::calm(0),
+            faults: FleetFaults::new(n),
             clock: FaultClock::new(),
-            retry: RetryPolicy::no_backoff(),
-            health: HealthTracker::new(n, HealthConfig::default()),
+            health: HealthTracker::new(n),
             fallback,
             enforced: vec![Watts::ZERO; n],
             enforced_hist: vec![Watts::ZERO; n],
@@ -371,41 +330,20 @@ impl FleetCoordinator {
                 .map(|c| SolveMemo::for_problem(&c.platform, &c.demand))
                 .collect(),
             priced: vec![None; n],
-            down_until: vec![None; n],
-            straggle_until: vec![None; n],
-            write_outage_until: vec![None; n],
             prev_round_timed_out: false,
             sink: None,
             objective: Objective::Throughput,
             tenants: None,
-            tenant_spike_until: Vec::new(),
-            tenant_noisy_until: Vec::new(),
             fleet,
         })
     }
 
-    /// Arm a fault plan for the dynamic mode.
+    /// Arm a fault plan for the dynamic mode. Re-arming mid-run
+    /// replaces only the plan: fault episodes already in flight run on.
     #[must_use = "the armed coordinator is returned by value"]
     pub fn with_plan(mut self, plan: FleetFaultPlan) -> Result<Self> {
-        plan.validate()?;
-        self.plan = plan;
+        self.faults.arm(plan)?;
         Ok(self)
-    }
-
-    /// Override the per-write retry policy (defaults to
-    /// [`RetryPolicy::no_backoff`], so fault storms replay at full
-    /// speed).
-    #[must_use = "the configured coordinator is returned by value"]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = RetryPolicy { max_attempts: retry.max_attempts.max(1), ..retry };
-        self
-    }
-
-    /// Override the health thresholds.
-    #[must_use = "the configured coordinator is returned by value"]
-    pub fn with_health_config(mut self, config: HealthConfig) -> Self {
-        self.health = HealthTracker::new(self.fleet.len(), config);
-        self
     }
 
     /// Land every successful cap write in `sink` as well (e.g. a mock
@@ -433,8 +371,7 @@ impl FleetCoordinator {
         // Register the invariant counter so every multi-tenant trace
         // exports it even at zero (see the same pattern in `new`).
         let _ = pbc_trace::counter(names::CLUSTER_TENANT_FLOOR_VIOLATIONS);
-        self.tenant_spike_until = vec![None; tenants.len()];
-        self.tenant_noisy_until = vec![None; tenants.len()];
+        self.faults.set_tenants(tenants.len());
         self.tenants = Some(tenants);
         self
     }
@@ -490,7 +427,7 @@ impl FleetCoordinator {
     /// Which nodes are currently down.
     #[must_use]
     pub fn down_mask(&self) -> Vec<bool> {
-        self.down_until.iter().map(Option::is_some).collect()
+        self.faults.down_mask()
     }
 
     /// Boot-time provisioning: program every node to its static
@@ -518,17 +455,8 @@ impl FleetCoordinator {
     /// static fallback so degraded mode stays safe under the new bound.
     #[must_use = "a rejected budget means the old bound is still in force"]
     pub fn set_global_budget(&mut self, budget: Watts) -> Result<()> {
-        if !budget.is_valid() || budget.value() <= 0.0 {
-            pbc_trace::counter(names::CLUSTER_REJECTED_BUDGETS).incr();
-            return Err(PbcError::InvalidInput(format!(
-                "global budget must be a positive finite wattage, got {budget:?}"
-            )));
-        }
-        let minimum = self.fleet.min_total_power();
-        if budget < minimum {
-            pbc_trace::counter(names::CLUSTER_REJECTED_BUDGETS).incr();
-            return Err(PbcError::BudgetTooSmall { requested: budget, minimum });
-        }
+        check_budget(&self.fleet, budget)
+            .inspect_err(|_| pbc_trace::counter(names::CLUSTER_REJECTED_BUDGETS).incr())?;
         self.fallback = StaticFallback::compute(&self.fleet, budget)?;
         self.global = budget;
         pbc_trace::counter(names::CLUSTER_BUDGET_RESETS).incr();
@@ -583,29 +511,25 @@ impl FleetCoordinator {
         // budget. A rejection (e.g. a cut below the fleet floor) is
         // counted and ignored — a lying schedule must not crash the
         // fleet.
-        for k in 0..self.plan.budget_steps.len() {
-            let s = self.plan.budget_steps[k];
-            if s.at == tick {
-                let _ = self.set_global_budget(self.initial_global * s.factor);
-            }
+        for factor in self.faults.budget_steps(tick) {
+            let _ = self.set_global_budget(self.initial_global * factor);
         }
 
-        let (dropped, recovered) = self.roll_membership(tick);
-        self.roll_stragglers(tick);
-        self.roll_write_outages(tick);
-        let (tenant_spikes, tenant_noisy) = self.roll_tenant_demand(tick);
-        let down: Vec<bool> = self.down_until.iter().map(Option::is_some).collect();
+        let rolled = self.faults.roll(tick);
+        count(names::CLUSTER_DROPOUTS, rolled.crashed);
+        count(names::CLUSTER_RECOVERIES, rolled.recovered);
+        count(names::CLUSTER_TENANT_SPIKES, rolled.tenant_spikes);
+        count(names::CLUSTER_TENANT_NOISY, rolled.tenant_noisy);
+        let down = self.faults.down_mask();
         let up = down.iter().filter(|d| !**d).count();
 
         // Reports describe the previous epoch; collect, validate, and
         // fold the verdicts into the health machine.
         let prev_enforced = self.enforced.clone();
-        let (missed_reports, rejected_reports) =
-            self.observe_reports(tick, &prev_enforced, &down);
+        let (missed_reports, rejected_reports) = self.observe_reports(tick);
 
         // Decide the mode and the targets.
-        let mut degraded =
-            self.plan.coordinator_outage.active(tick) || self.prev_round_timed_out;
+        let mut degraded = self.faults.coordinator_outage(tick) || self.prev_round_timed_out;
         let mut targets = vec![Watts::ZERO; n];
         if !degraded && !self.fill_targets(&down, &mut targets) {
             degraded = true;
@@ -621,7 +545,7 @@ impl FleetCoordinator {
 
         let mut decision =
             evaluate(&self.fleet, &self.memos, &mut self.priced, &targets, &down)?;
-        self.slow_stragglers(&mut decision, &down);
+        self.slow_stragglers(&mut decision);
 
         let stats = self.enforce_supervised(tick, &targets, &down);
         self.prev_round_timed_out = stats.timed_out;
@@ -681,8 +605,8 @@ impl FleetCoordinator {
         Ok(EpochReport {
             tick,
             nodes_up: up,
-            dropped,
-            recovered,
+            dropped: rolled.crashed,
+            recovered: rolled.recovered,
             write_failures: stats.failures,
             write_retries: stats.retries,
             missed_reports,
@@ -694,8 +618,8 @@ impl FleetCoordinator {
             enforced_total,
             moved,
             reclaimed,
-            tenant_spikes,
-            tenant_noisy,
+            tenant_spikes: rolled.tenant_spikes,
+            tenant_noisy: rolled.tenant_noisy,
             tenant_preemptions: tenancy.preemptions,
             tenant_floor_violations: tenancy.floor_violations,
             tenant_jain: tenancy.jain,
@@ -706,7 +630,7 @@ impl FleetCoordinator {
     #[must_use = "the run result carries either the survival report or the failure"]
     pub fn run(&mut self, epochs: usize) -> Result<ClusterReport> {
         let n = self.fleet.len();
-        let quiet = self.plan.quiet_after();
+        let quiet = self.faults.plan().quiet_after();
         let tally_before = self.health.tally();
         let leaks_before = pbc_trace::counter(names::HEALTH_QUARANTINE_LEAKS).get();
         let mut report = ClusterReport {
@@ -764,12 +688,11 @@ impl FleetCoordinator {
 
     /// Stragglers run slow: their contribution shrinks by the plan's
     /// slowdown factor.
-    fn slow_stragglers(&self, decision: &mut ClusterDecision, down: &[bool]) {
+    fn slow_stragglers(&self, decision: &mut ClusterDecision) {
         let mut dirty = false;
-        let nodes = decision.perfs.iter_mut().zip(&self.straggle_until).zip(down);
-        for ((perf, until), &down) in nodes {
-            if until.is_some() && !down {
-                *perf *= self.plan.nodes.slowdown;
+        for (i, perf) in decision.perfs.iter_mut().enumerate() {
+            if let Some(slowdown) = self.faults.slowdown(i) {
+                *perf *= slowdown;
                 dirty = true;
             }
         }
@@ -789,216 +712,37 @@ impl FleetCoordinator {
             .collect()
     }
 
-    /// Crash/rejoin decisions for this tick. Each node draws from a
-    /// fresh generator keyed `(seed, tick, STREAM_NODE, node)` — the
-    /// inject.rs contract — so membership replays bit-identically.
-    fn roll_membership(&mut self, tick: usize) -> (usize, usize) {
-        let mut dropped = 0;
-        let mut recovered = 0;
-        for i in 0..self.down_until.len() {
-            if let Some(until) = self.down_until[i] {
-                if tick >= until {
-                    self.down_until[i] = None;
-                    recovered += 1;
-                    pbc_trace::counter(names::CLUSTER_RECOVERIES).incr();
-                }
-                continue;
-            }
-            let faults = &self.plan.nodes;
-            if faults.crash_prob > 0.0 && faults.crash_window.active(tick) {
-                let mut rng = decision_rng(self.plan.seed, tick, STREAM_NODE, i as u64);
-                if rng.next_f64() < faults.crash_prob {
-                    self.down_until[i] = Some(tick + faults.outage_epochs.max(1));
-                    dropped += 1;
-                    pbc_trace::counter(names::CLUSTER_DROPOUTS).incr();
-                }
-            }
-        }
-        (dropped, recovered)
-    }
-
-    /// Straggler onset/expiry for this tick. A down node cannot also
-    /// straggle; a straggler that crashes stays down-dominated.
-    fn roll_stragglers(&mut self, tick: usize) {
-        let faults = self.plan.nodes;
-        for i in 0..self.straggle_until.len() {
-            if let Some(until) = self.straggle_until[i] {
-                if tick >= until {
-                    self.straggle_until[i] = None;
-                }
-                continue;
-            }
-            if faults.straggler_prob > 0.0
-                && faults.straggler_window.active(tick)
-                && self.down_until[i].is_none()
-            {
-                let mut rng = decision_rng(self.plan.seed, tick, STREAM_STRAGGLE, i as u64);
-                if rng.next_f64() < faults.straggler_prob {
-                    self.straggle_until[i] = Some(tick + faults.straggle_epochs.max(1));
-                }
-            }
-        }
-    }
-
-    /// Tenant demand-spike and noisy-neighbor onset/expiry for this
-    /// tick. Inert without tenants: no draws, so single-tenant runs
-    /// replay exactly as before tenancy existed. Returns `(spikes,
-    /// noisy)` onset counts.
-    fn roll_tenant_demand(&mut self, tick: usize) -> (usize, usize) {
-        if self.tenants.is_none() {
-            return (0, 0);
-        }
-        let faults = self.plan.tenants;
-        let mut spikes = 0;
-        let mut noisy = 0;
-        for t in 0..self.tenant_spike_until.len() {
-            match self.tenant_spike_until[t] {
-                Some(until) if tick >= until => self.tenant_spike_until[t] = None,
-                Some(_) => {}
-                None if faults.spike_prob > 0.0 && faults.spike_window.active(tick) => {
-                    let mut rng = decision_rng(self.plan.seed, tick, STREAM_TENANT_SPIKE, t as u64);
-                    if rng.next_f64() < faults.spike_prob {
-                        self.tenant_spike_until[t] = Some(tick + faults.spike_epochs.max(1));
-                        spikes += 1;
-                        pbc_trace::counter(names::CLUSTER_TENANT_SPIKES).incr();
-                    }
-                }
-                None => {}
-            }
-            match self.tenant_noisy_until[t] {
-                Some(until) if tick >= until => self.tenant_noisy_until[t] = None,
-                Some(_) => {}
-                None if faults.noisy_prob > 0.0 && faults.noisy_window.active(tick) => {
-                    let mut rng = decision_rng(self.plan.seed, tick, STREAM_TENANT_NOISY, t as u64);
-                    if rng.next_f64() < faults.noisy_prob {
-                        self.tenant_noisy_until[t] = Some(tick + faults.noisy_epochs.max(1));
-                        noisy += 1;
-                        pbc_trace::counter(names::CLUSTER_TENANT_NOISY).incr();
-                    }
-                }
-                None => {}
-            }
-        }
-        (spikes, noisy)
-    }
-
-    /// The demand multiplier each tenant currently runs at: 1 when
-    /// calm, the plan's spike/noisy factor (whichever is larger) while
-    /// an event is active.
-    fn tenant_demand(&self) -> Vec<f64> {
-        let faults = self.plan.tenants;
-        (0..self.tenant_spike_until.len())
-            .map(|t| {
-                let mut d = 1.0f64;
-                if self.tenant_spike_until[t].is_some() {
-                    d = d.max(faults.spike_factor);
-                }
-                if self.tenant_noisy_until[t].is_some() {
-                    d = d.max(faults.noisy_factor);
-                }
-                d
-            })
-            .collect()
-    }
-
-    /// Per-node cap-write-path outage onset/expiry for this tick.
-    fn roll_write_outages(&mut self, tick: usize) {
-        let faults = self.plan.writes;
-        for i in 0..self.write_outage_until.len() {
-            if let Some(until) = self.write_outage_until[i] {
-                if tick >= until {
-                    self.write_outage_until[i] = None;
-                }
-                continue;
-            }
-            if faults.outage_prob > 0.0 && faults.outage_window.active(tick) {
-                let mut rng = decision_rng(self.plan.seed, tick, STREAM_WRITE_OUTAGE, i as u64);
-                if rng.next_f64() < faults.outage_prob {
-                    self.write_outage_until[i] = Some(tick + faults.outage_epochs.max(1));
-                }
-            }
-        }
-    }
-
-    /// Simulate, validate, and ingest every node's observation report.
+    /// Collect every node's report of the previous epoch, faults
+    /// applied, pass it through the observation rule `OnlineCoordinator`
+    /// applies ([`validate_observation`]), and fold the verdict into the
+    /// health machine. The honest report is the cap the node ran on,
+    /// which is still the enforced one, and the throughput it measured.
     /// Returns `(missed, rejected)` counts for the epoch.
-    fn observe_reports(
-        &mut self,
-        tick: usize,
-        prev_enforced: &[Watts],
-        down: &[bool],
-    ) -> (usize, usize) {
+    fn observe_reports(&mut self, tick: usize) -> (usize, usize) {
         let mut missed = 0;
         let mut rejected = 0;
         for i in 0..self.fleet.len() {
-            let verdict = self.node_report_verdict(tick, i, prev_enforced, down[i]);
-            match verdict {
-                ReportVerdict::Missing => {
+            let ran = self.enforced[i];
+            let perf = self.last.as_ref().map_or(0.0, |d| d.perfs[i]);
+            let verdict = match self.faults.report(tick, i, ran, self.enforced_hist[i], perf) {
+                None => {
                     missed += 1;
                     pbc_trace::counter(names::CLUSTER_MISSED_REPORTS).incr();
+                    ReportVerdict::Missing
                 }
-                ReportVerdict::Rejected => {
+                Some((cap, perf))
+                    if validate_observation(perf, &[], &[(cap, ran)])
+                        != ObservationOutcome::Used =>
+                {
                     rejected += 1;
                     pbc_trace::counter(names::CLUSTER_REJECTED_REPORTS).incr();
+                    ReportVerdict::Rejected
                 }
-                ReportVerdict::Accepted => {}
-            }
+                Some(_) => ReportVerdict::Accepted,
+            };
             self.health.observe(i, verdict);
         }
         (missed, rejected)
-    }
-
-    /// One node's report for this epoch, faults applied, then passed
-    /// through the same validation gate `OnlineCoordinator` applies to
-    /// observations: non-finite, out-of-range, and stale-cap rejection.
-    fn node_report_verdict(
-        &self,
-        tick: usize,
-        node: usize,
-        prev_enforced: &[Watts],
-        down: bool,
-    ) -> ReportVerdict {
-        if down {
-            return ReportVerdict::Missing;
-        }
-        // The honest report: the cap the node ran on last epoch and the
-        // throughput it measured. A straggler lags one epoch further
-        // behind, so its cap snapshot is one epoch staler.
-        let mut cap = prev_enforced[node];
-        let mut perf = self.last.as_ref().map_or(0.0, |d| d.perfs[node]);
-        if self.straggle_until[node].is_some() {
-            cap = self.enforced_hist[node];
-        }
-        let faults = self.plan.reports;
-        if faults.window.active(tick) {
-            let mut rng = decision_rng(self.plan.seed, tick, STREAM_REPORT, node as u64);
-            let u = rng.next_f64();
-            if u < faults.drop_prob {
-                return ReportVerdict::Missing;
-            } else if u < faults.drop_prob + faults.delay_prob {
-                cap = self.enforced_hist[node];
-            } else if u < faults.drop_prob + faults.delay_prob + faults.garble_prob {
-                let g = rng.next_f64();
-                if g < 1.0 / 3.0 {
-                    perf = f64::NAN;
-                } else if g < 2.0 / 3.0 {
-                    perf = 1.0e9;
-                } else {
-                    cap = Watts::new(-5.0);
-                }
-            }
-        }
-        // The validation gate (mirrors `OnlineCoordinator::validate`).
-        if !perf.is_finite() || perf < 0.0 {
-            return ReportVerdict::Rejected;
-        }
-        if perf > MAX_CREDIBLE_PERF || !cap.is_valid() {
-            return ReportVerdict::Rejected;
-        }
-        if (cap - prev_enforced[node]).abs().value() > STALE_CAP_TOLERANCE {
-            return ReportVerdict::Rejected;
-        }
-        ReportVerdict::Accepted
     }
 
     /// Water-fill targets over the trusted membership. Healthy and
@@ -1033,12 +777,10 @@ impl FleetCoordinator {
         }
         let avail = self.global - reserved;
         let live_curves: Vec<NodeCurve<'_>> = allocatable.iter().map(|&i| curves[i]).collect();
-        let shares = match fill_shares(&live_curves, &[], avail, self.grant, self.objective) {
-            Ok(s) => s,
-            Err(e) if e.is_infeasible() => return false,
-            // The fill only fails on infeasibility today; treat
-            // anything else the same way — degraded is the safe floor.
-            Err(_) => return false,
+        // The fill only fails on infeasibility today; any failure
+        // degrades the epoch — degraded is the safe floor.
+        let Ok(shares) = fill_shares(&live_curves, &[], avail, self.grant, self.objective) else {
+            return false;
         };
         for (k, &i) in allocatable.iter().enumerate() {
             targets[i] = shares[k];
@@ -1061,7 +803,7 @@ impl FleetCoordinator {
         let Some(tenants) = self.tenants.as_ref() else {
             return TenancyStats::default();
         };
-        let demand = self.tenant_demand();
+        let demand = self.faults.tenant_demand();
         let mut watts = vec![0.0f64; tenants.len()];
         let mut preemptions = 0;
         let mut floor_violations = 0;
@@ -1083,19 +825,14 @@ impl FleetCoordinator {
             .map(|(w, t)| w / t.weight)
             .collect();
         let jain = jain_index(&normalized);
-        if preemptions > 0 {
-            pbc_trace::counter(names::CLUSTER_TENANT_PREEMPTIONS).add(preemptions as u64);
-        }
-        if floor_violations > 0 {
-            pbc_trace::counter(names::CLUSTER_TENANT_FLOOR_VIOLATIONS)
-                .add(floor_violations as u64);
-        }
+        count(names::CLUSTER_TENANT_PREEMPTIONS, preemptions);
+        count(names::CLUSTER_TENANT_FLOOR_VIOLATIONS, floor_violations);
         pbc_trace::gauge(names::CLUSTER_TENANT_JAIN).set(jain);
         TenancyStats { jain, preemptions, floor_violations }
     }
 
     /// Move enforced caps toward `targets`, decreases first, each write
-    /// supervised by the retry policy under a per-round attempt
+    /// tried up to [`WRITE_ATTEMPTS`] times under a per-round attempt
     /// deadline. A down node's cap releases unconditionally (its draw
     /// is gone whether or not a write lands); a failed decrease keeps
     /// its watts reserved; raises are funded strictly from the pot the
@@ -1107,7 +844,7 @@ impl FleetCoordinator {
         // The round's write-attempt deadline: enough for every node's
         // write to retry once on average. A fault storm that needs more
         // is a timed-out round, not a wedged fleet.
-        let mut attempts_left = n * (self.retry.max_attempts as usize).max(1);
+        let mut attempts_left = n * WRITE_ATTEMPTS as usize;
 
         // Phase 1: releases.
         for i in 0..n {
@@ -1159,10 +896,10 @@ impl FleetCoordinator {
         stats
     }
 
-    /// One supervised cap write: up to `max_attempts` tries against the
-    /// plan's fault draw (and the sink, when armed), spending from the
-    /// round's shared attempt budget. Returns `true` when the write
-    /// landed.
+    /// One supervised cap write: up to [`WRITE_ATTEMPTS`] tries, back to
+    /// back, against the plan's fault draw (and the sink, when armed),
+    /// spending from the round's shared attempt budget. Returns `true`
+    /// when the write landed.
     fn try_write(
         &mut self,
         tick: usize,
@@ -1171,7 +908,7 @@ impl FleetCoordinator {
         attempts_left: &mut usize,
         stats: &mut WriteStats,
     ) -> bool {
-        for attempt in 0..self.retry.max_attempts.max(1) {
+        for attempt in 0..WRITE_ATTEMPTS {
             if *attempts_left == 0 {
                 stats.timed_out = true;
                 return false;
@@ -1180,12 +917,8 @@ impl FleetCoordinator {
             if attempt > 0 {
                 stats.retries += 1;
                 pbc_trace::counter(names::CLUSTER_WRITE_RETRIES).incr();
-                let ms = self.retry.backoff_ms(attempt - 1);
-                if ms > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                }
             }
-            if self.write_attempt_fails(tick, node, target, attempt) {
+            if self.faults.write_fails(tick, node, target, attempt) {
                 continue;
             }
             if let Some(sink) = self.sink.as_mut() {
@@ -1199,22 +932,27 @@ impl FleetCoordinator {
         pbc_trace::counter(names::CLUSTER_WRITE_FAILURES).incr();
         false
     }
+}
 
-    /// Does this write attempt fail under the plan? An active per-node
-    /// write outage fails every attempt (retries cannot absorb it);
-    /// stochastic failures re-draw per attempt, so retries can.
-    fn write_attempt_fails(&self, tick: usize, node: usize, target: Watts, attempt: u32) -> bool {
-        if self.write_outage_until[node].is_some() {
-            return true;
-        }
-        let faults = self.plan.writes;
-        if faults.fail_prob <= 0.0 || !faults.window.active(tick) {
-            return false;
-        }
-        let key = write_key(&format!("cluster.node{node}"), target);
-        let stream = STREAM_CAP ^ key.wrapping_mul(GOLDEN);
-        let mut rng = decision_rng(self.plan.seed, tick, stream, u64::from(attempt));
-        rng.next_f64() < faults.fail_prob
+/// Check that `budget` is a positive finite wattage covering every
+/// node's floor.
+fn check_budget(fleet: &Fleet, budget: Watts) -> Result<()> {
+    if !budget.is_valid() || budget.value() <= 0.0 {
+        return Err(PbcError::InvalidInput(format!(
+            "global budget must be a positive finite wattage, got {budget:?}"
+        )));
+    }
+    let minimum = fleet.min_total_power();
+    if budget < minimum {
+        return Err(PbcError::BudgetTooSmall { requested: budget, minimum });
+    }
+    Ok(())
+}
+
+/// Add `n` events to counter `name`, registering it only once one fires.
+fn count(name: &str, n: usize) {
+    if n > 0 {
+        pbc_trace::counter(name).add(n as u64);
     }
 }
 
@@ -1262,9 +1000,7 @@ fn evaluate(
         perfs.push(p.perf);
     }
     pbc_trace::counter(names::CLUSTER_EVALUATED_NODES).add(evaluated as u64);
-    if infeasible > 0 {
-        pbc_trace::counter(names::CLUSTER_INFEASIBLE_NODES).add(infeasible as u64);
-    }
+    count(names::CLUSTER_INFEASIBLE_NODES, infeasible);
     let aggregate_perf = perfs.iter().sum();
     Ok(ClusterDecision { shares: shares.to_vec(), allocs, perfs, aggregate_perf, infeasible })
 }
@@ -1550,7 +1286,7 @@ mod tests {
                 .count();
             let mut fresh =
                 evaluate(&coord.fleet, &coord.memos, &mut vec![None; n], targets, &down).unwrap();
-            coord.slow_stragglers(&mut fresh, &down);
+            coord.slow_stragglers(&mut fresh);
             let cached = decision_bits(coord.last.as_ref().unwrap());
             if cached != decision_bits(&fresh)
                 || report.aggregate_perf.to_bits() != fresh.aggregate_perf.to_bits()

@@ -62,7 +62,10 @@ pub use fastpath::{
 };
 pub use hybrid::{coordinate_hybrid, solve_hybrid_split, HybridPoint, HybridWorkload};
 pub use model::PiecewiseModel;
-pub use online::{BudgetOutcome, ObservationOutcome, OnlineConfig, OnlineCoordinator};
+pub use online::{
+    validate_observation, BudgetOutcome, ObservationOutcome, OnlineConfig, OnlineCoordinator,
+    MAX_CREDIBLE_PERF,
+};
 pub use problem::PowerBoundedProblem;
 pub use profile::{SweepPoint, SweepProfile};
 pub use profile_io::{from_csv as profile_from_csv, load as load_profile, save as save_profile, to_csv as profile_to_csv};

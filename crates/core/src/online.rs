@@ -33,6 +33,45 @@ use std::sync::Arc;
 /// keeps the tolerance honest if the enforcement granularity changes.
 const STALE_CAP_TOLERANCE: f64 = CAP_QUANTUM;
 
+/// Performance surrogates above this are rejected as sensor garbage
+/// (`perf_rel` is normalized to unbounded performance, so honest
+/// readings sit in `(0, 1]` with a little calibration headroom).
+pub const MAX_CREDIBLE_PERF: f64 = 8.0;
+
+/// The one validation rule an observation must pass before it may steer
+/// a decision, on a single node ([`OnlineCoordinator::observe`]) or
+/// across a fleet (the fleet coordinator's report gate). `perf` is the
+/// reported performance surrogate, `powers` the reported component
+/// draws, and `caps` pairs each reported cap with the cap that was
+/// issued. A non-finite or negative surrogate is
+/// [`ObservationOutcome::RejectedNonFinite`]; an absurd surrogate or an
+/// invalid (non-finite or negative) power or reported cap is
+/// [`ObservationOutcome::RejectedOutOfRange`]; a reported cap more than
+/// one enforcement quantum off its issued cap is
+/// [`ObservationOutcome::RejectedStale`].
+pub fn validate_observation(
+    perf: f64,
+    powers: &[Watts],
+    caps: &[(Watts, Watts)],
+) -> ObservationOutcome {
+    if !perf.is_finite() || perf < 0.0 {
+        return ObservationOutcome::RejectedNonFinite;
+    }
+    if perf > MAX_CREDIBLE_PERF
+        || !powers.iter().all(|w| w.is_valid())
+        || !caps.iter().all(|(reported, _)| reported.is_valid())
+    {
+        return ObservationOutcome::RejectedOutOfRange;
+    }
+    if caps
+        .iter()
+        .any(|&(reported, issued)| (reported - issued).abs().value() > STALE_CAP_TOLERANCE)
+    {
+        return ObservationOutcome::RejectedStale;
+    }
+    ObservationOutcome::Used
+}
+
 /// Tuning knobs for the online coordinator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -47,10 +86,6 @@ pub struct OnlineConfig {
     /// Relative performance improvement required to accept a move (guards
     /// against measurement noise in real deployments).
     pub accept_margin: f64,
-    /// Performance surrogates above this are rejected as sensor garbage
-    /// (`perf_rel` is normalized to unbounded performance, so honest
-    /// readings sit in `(0, 1]` with a little calibration headroom).
-    pub max_credible_perf: f64,
     /// Consecutive over-budget observations tolerated before the
     /// watchdog degrades to the fallback allocation.
     pub watchdog_patience: u32,
@@ -75,7 +110,6 @@ impl Default for OnlineConfig {
             min_step: Watts::new(1.0),
             decay: 0.5,
             accept_margin: 0.002,
-            max_credible_perf: 8.0,
             watchdog_patience: 3,
             overdraw_tolerance: 0.05,
             min_budget: Watts::ZERO,
@@ -111,8 +145,8 @@ pub enum ObservationOutcome {
     /// Rejected: non-finite or negative performance surrogate (the NaN
     /// that used to wedge `best` comparisons forever).
     RejectedNonFinite,
-    /// Rejected: physically implausible (absurd performance, invalid or
-    /// negative component power).
+    /// Rejected: physically implausible (absurd performance, or an
+    /// invalid or negative component power or reported cap).
     RejectedOutOfRange,
     /// Rejected: the observation's allocation does not match the probe
     /// we issued — a stale sample, or an enforcement failure left the
@@ -301,28 +335,6 @@ impl OnlineCoordinator {
         pbc_trace::counter(names::ONLINE_FALLBACKS).incr();
     }
 
-    /// Does this operating point pass the physical-plausibility gate?
-    fn validate(&self, op: &NodeOperatingPoint, tried: PowerAllocation) -> ObservationOutcome {
-        let perf = op.perf_rel;
-        if !perf.is_finite() || perf < 0.0 {
-            return ObservationOutcome::RejectedNonFinite;
-        }
-        if perf > self.config.max_credible_perf
-            || !op.proc_power.is_valid()
-            || !op.mem_power.is_valid()
-            || op.proc_power.value() < 0.0
-            || op.mem_power.value() < 0.0
-        {
-            return ObservationOutcome::RejectedOutOfRange;
-        }
-        let stale = (op.alloc.proc - tried.proc).abs().value() > STALE_CAP_TOLERANCE
-            || (op.alloc.mem - tried.mem).abs().value() > STALE_CAP_TOLERANCE;
-        if stale {
-            return ObservationOutcome::RejectedStale;
-        }
-        ObservationOutcome::Used
-    }
-
     /// The split to apply for the next epoch.
     pub fn next_allocation(&mut self) -> PowerAllocation {
         if self.best_perf.is_none() {
@@ -398,7 +410,11 @@ impl OnlineCoordinator {
         let Some(tried) = self.pending.take() else {
             return ObservationOutcome::Used;
         };
-        let verdict = self.validate(op, tried);
+        let verdict = validate_observation(
+            op.perf_rel,
+            &[op.proc_power, op.mem_power],
+            &[(op.alloc.proc, tried.proc), (op.alloc.mem, tried.mem)],
+        );
         if verdict != ObservationOutcome::Used {
             pbc_trace::counter(names::ONLINE_REJECTED_OBSERVATIONS).incr();
             // The probe is void, not judged: the phase is untouched and
@@ -508,6 +524,18 @@ mod tests {
             );
             assert!(epochs < 120, "{bench}: {epochs} epochs");
         }
+    }
+
+    #[test]
+    fn the_observation_rule_rejects_invalid_caps_as_out_of_range() {
+        let issued = Watts::new(120.0);
+        let check = |cap: f64| validate_observation(0.9, &[], &[(Watts::new(cap), issued)]);
+        assert_eq!(check(120.0), ObservationOutcome::Used);
+        assert_eq!(check(f64::NAN), ObservationOutcome::RejectedOutOfRange);
+        assert_eq!(check(-5.0), ObservationOutcome::RejectedOutOfRange);
+        assert_eq!(check(1.0), ObservationOutcome::RejectedStale);
+        let garbage = validate_observation(MAX_CREDIBLE_PERF * 2.0, &[issued], &[]);
+        assert_eq!(garbage, ObservationOutcome::RejectedOutOfRange);
     }
 
     #[test]

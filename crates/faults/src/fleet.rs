@@ -12,6 +12,13 @@
 //! `(seed, tick, stream, node)` — see [`crate::inject::decision_rng`] —
 //! so a fleet chaos run replays bit-identically at any thread count.
 //!
+//! [`FleetFaults`] plays an armed plan: it owns every per-node and
+//! per-tenant episode in flight, rolls them each tick through one
+//! episode rule, and answers the fleet coordinator's questions: what a
+//! node's report says on arrival, whether a cap write fails, who is
+//! down or straggling, and how hard each tenant is pushing. No fault
+//! decision lives in the coordinator itself.
+//!
 //! Shipped presets keep budget steps *outside* every write-fault window
 //! (the same structural discipline as the single-node plans), which is
 //! what lets `cluster.budget_violations == 0` hold at every seed. The
@@ -19,8 +26,9 @@
 //! node's decrease cannot be written — is exercised separately by the
 //! property tests with the weaker caps-never-inflate guarantee.
 
+use crate::inject::{decision_rng, write_key, GOLDEN};
 use crate::plan::{BudgetStep, FaultWindow};
-use pbc_types::{PbcError, Result};
+use pbc_types::{PbcError, Result, Watts};
 
 /// Node membership faults: crashes (and the rejoin after), plus
 /// straggler slowdowns.
@@ -458,36 +466,20 @@ impl FleetFaultPlan {
     /// started has run its course (outages and straggles included).
     #[must_use]
     pub fn quiet_after(&self) -> usize {
-        let crash_tail = if self.nodes.crash_window.is_empty() {
-            0
-        } else {
-            self.nodes.crash_window.until + self.nodes.outage_epochs
+        // An episode kind is quiet once its onset window has closed and
+        // the last episode it could start has run out.
+        let tail = |window: FaultWindow, epochs: usize| {
+            if window.is_empty() {
+                0
+            } else {
+                window.until + epochs
+            }
         };
-        let straggle_tail = if self.nodes.straggler_window.is_empty() {
-            0
-        } else {
-            self.nodes.straggler_window.until + self.nodes.straggle_epochs
-        };
-        let outage_tail = if self.writes.outage_window.is_empty() {
-            0
-        } else {
-            self.writes.outage_window.until + self.writes.outage_epochs
-        };
-        let spike_tail = if self.tenants.spike_window.is_empty() {
-            0
-        } else {
-            self.tenants.spike_window.until + self.tenants.spike_epochs
-        };
-        let noisy_tail = if self.tenants.noisy_window.is_empty() {
-            0
-        } else {
-            self.tenants.noisy_window.until + self.tenants.noisy_epochs
-        };
-        let mut t = crash_tail
-            .max(straggle_tail)
-            .max(outage_tail)
-            .max(spike_tail)
-            .max(noisy_tail)
+        let mut t = tail(self.nodes.crash_window, self.nodes.outage_epochs)
+            .max(tail(self.nodes.straggler_window, self.nodes.straggle_epochs))
+            .max(tail(self.writes.outage_window, self.writes.outage_epochs))
+            .max(tail(self.tenants.spike_window, self.tenants.spike_epochs))
+            .max(tail(self.tenants.noisy_window, self.tenants.noisy_epochs))
             .max(self.reports.window.until)
             .max(self.writes.window.until)
             .max(self.coordinator_outage.until);
@@ -519,35 +511,23 @@ impl FleetFaultPlan {
                 )));
             }
         }
-        if self.nodes.crash_prob > 0.0 && self.nodes.outage_epochs == 0 {
-            return Err(PbcError::InvalidInput(format!(
-                "{}: outage_epochs must be >= 1 when crashes can fire",
-                self.name
-            )));
-        }
-        if self.nodes.straggler_prob > 0.0 && self.nodes.straggle_epochs == 0 {
-            return Err(PbcError::InvalidInput(format!(
-                "{}: straggle_epochs must be >= 1 when stragglers can appear",
-                self.name
-            )));
-        }
-        if self.writes.outage_prob > 0.0 && self.writes.outage_epochs == 0 {
-            return Err(PbcError::InvalidInput(format!(
-                "{}: writes.outage_epochs must be >= 1 when outages can fire",
-                self.name
-            )));
-        }
-        let tenant_events = [
-            ("spike", self.tenants.spike_prob, self.tenants.spike_epochs, self.tenants.spike_factor),
-            ("noisy", self.tenants.noisy_prob, self.tenants.noisy_epochs, self.tenants.noisy_factor),
+        let episodes = [
+            ("nodes.outage_epochs", self.nodes.crash_prob, self.nodes.outage_epochs),
+            ("nodes.straggle_epochs", self.nodes.straggler_prob, self.nodes.straggle_epochs),
+            ("writes.outage_epochs", self.writes.outage_prob, self.writes.outage_epochs),
+            ("tenants.spike_epochs", self.tenants.spike_prob, self.tenants.spike_epochs),
+            ("tenants.noisy_epochs", self.tenants.noisy_prob, self.tenants.noisy_epochs),
         ];
-        for (what, prob, epochs, factor) in tenant_events {
+        for (what, prob, epochs) in episodes {
             if prob > 0.0 && epochs == 0 {
                 return Err(PbcError::InvalidInput(format!(
-                    "{}: tenants.{what}_epochs must be >= 1 when {what}s can fire",
+                    "{}: {what} must be >= 1 when those episodes can start",
                     self.name
                 )));
             }
+        }
+        let factors = [("spike", self.tenants.spike_factor), ("noisy", self.tenants.noisy_factor)];
+        for (what, factor) in factors {
             if !factor.is_finite() || factor < 1.0 {
                 return Err(PbcError::InvalidInput(format!(
                     "{}: tenants.{what}_factor {factor} must be a finite multiplier >= 1",
@@ -579,6 +559,263 @@ impl FleetFaultPlan {
             }
         }
         Ok(())
+    }
+}
+
+/// Stream constant for node crash/rejoin decisions.
+const STREAM_NODE: u64 = 0x5EED_0011;
+/// Stream constant for cap-write fault decisions.
+const STREAM_CAP: u64 = 0x5EED_0012;
+/// Stream constant for observation-report fault decisions.
+const STREAM_REPORT: u64 = 0x5EED_0013;
+/// Stream constant for straggler onset decisions.
+const STREAM_STRAGGLE: u64 = 0x5EED_0014;
+/// Stream constant for per-node write-outage onset decisions.
+const STREAM_WRITE_OUTAGE: u64 = 0x5EED_0015;
+/// Stream constant for per-tenant demand-spike onset decisions.
+const STREAM_TENANT_SPIKE: u64 = 0x5EED_0016;
+/// Stream constant for per-tenant noisy-neighbor onset decisions.
+const STREAM_TENANT_NOISY: u64 = 0x5EED_0017;
+
+/// One episode kind (crash, straggle, write outage, demand spike, noisy
+/// neighbor) across its entities, nodes or tenants: each is idle or in
+/// an episode until some tick.
+#[derive(Debug, Clone)]
+struct Episodes {
+    stream: u64,
+    until: Vec<Option<usize>>,
+}
+
+impl Episodes {
+    fn new(stream: u64, n: usize) -> Self {
+        Self { stream, until: vec![None; n] }
+    }
+
+    fn active(&self, i: usize) -> bool {
+        self.until[i].is_some()
+    }
+
+    /// Advance every entity to `tick`. An episode due by `tick` ends,
+    /// and its entity draws nothing this tick. While the onset window is
+    /// active, an idle entity `i` that `may_start` draws once from
+    /// `decision_rng(seed, tick, stream, i)` and starts an episode of
+    /// `epochs` ticks (at least one) with probability `prob`. Returns
+    /// `(started, ended)`.
+    fn roll(
+        &mut self,
+        seed: u64,
+        tick: usize,
+        (prob, window, epochs): (f64, FaultWindow, usize),
+        may_start: impl Fn(usize) -> bool,
+    ) -> (usize, usize) {
+        let armed = prob > 0.0 && window.active(tick);
+        let (mut started, mut ended) = (0, 0);
+        for (i, until) in self.until.iter_mut().enumerate() {
+            match *until {
+                Some(t) if tick >= t => {
+                    *until = None;
+                    ended += 1;
+                }
+                None if armed
+                    && may_start(i)
+                    && decision_rng(seed, tick, self.stream, i as u64).next_f64() < prob =>
+                {
+                    *until = Some(tick + epochs.max(1));
+                    started += 1;
+                }
+                _ => {}
+            }
+        }
+        (started, ended)
+    }
+}
+
+/// What one tick's [`FleetFaults::roll`] started and ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FleetRoll {
+    /// Nodes that crashed.
+    pub crashed: usize,
+    /// Crashed nodes that came back up.
+    pub recovered: usize,
+    /// Tenant demand spikes that started.
+    pub tenant_spikes: usize,
+    /// Noisy-neighbor stretches that started.
+    pub tenant_noisy: usize,
+}
+
+/// An armed [`FleetFaultPlan`] in play: the plan plus every per-node and
+/// per-tenant episode in flight. It is the one place a fleet fault is
+/// decided. A coordinator asks it what rolled each tick, what a node's
+/// report says on arrival, and whether a cap-write attempt fails, and
+/// reads the episode state back; every draw is keyed
+/// `(seed, tick, stream, entity)`, so a run replays bit-identically.
+#[derive(Debug, Clone)]
+pub struct FleetFaults {
+    plan: FleetFaultPlan,
+    down: Episodes,
+    straggle: Episodes,
+    write_outage: Episodes,
+    spike: Episodes,
+    noisy: Episodes,
+}
+
+impl FleetFaults {
+    /// The calm plan over `nodes` nodes and no tenants, nothing in
+    /// flight.
+    #[must_use]
+    pub fn new(nodes: usize) -> Self {
+        Self {
+            plan: FleetFaultPlan::calm(0),
+            down: Episodes::new(STREAM_NODE, nodes),
+            straggle: Episodes::new(STREAM_STRAGGLE, nodes),
+            write_outage: Episodes::new(STREAM_WRITE_OUTAGE, nodes),
+            spike: Episodes::new(STREAM_TENANT_SPIKE, 0),
+            noisy: Episodes::new(STREAM_TENANT_NOISY, 0),
+        }
+    }
+
+    /// Arm `plan` in place of the current one. Only the plan changes:
+    /// episodes already in flight run on to their end.
+    #[must_use = "an invalid plan is not armed"]
+    pub fn arm(&mut self, plan: FleetFaultPlan) -> Result<()> {
+        plan.validate()?;
+        self.plan = plan;
+        Ok(())
+    }
+
+    /// Track `tenants` tenants, none of them in an episode.
+    pub fn set_tenants(&mut self, tenants: usize) {
+        self.spike = Episodes::new(STREAM_TENANT_SPIKE, tenants);
+        self.noisy = Episodes::new(STREAM_TENANT_NOISY, tenants);
+    }
+
+    /// The armed plan.
+    #[must_use]
+    pub fn plan(&self) -> &FleetFaultPlan {
+        &self.plan
+    }
+
+    /// Start and end this tick's episodes: crashes, then stragglers
+    /// (only up nodes start straggling), write outages, and tenant
+    /// spikes and noisy neighbors.
+    pub fn roll(&mut self, tick: usize) -> FleetRoll {
+        let (seed, n, w, t) = (self.plan.seed, self.plan.nodes, self.plan.writes, self.plan.tenants);
+        let any = |_: usize| true;
+        let (crashed, recovered) =
+            self.down.roll(seed, tick, (n.crash_prob, n.crash_window, n.outage_epochs), any);
+        let down = &self.down;
+        let up = |i| !down.active(i);
+        self.straggle.roll(seed, tick, (n.straggler_prob, n.straggler_window, n.straggle_epochs), up);
+        self.write_outage.roll(seed, tick, (w.outage_prob, w.outage_window, w.outage_epochs), any);
+        let (tenant_spikes, _) =
+            self.spike.roll(seed, tick, (t.spike_prob, t.spike_window, t.spike_epochs), any);
+        let (tenant_noisy, _) =
+            self.noisy.roll(seed, tick, (t.noisy_prob, t.noisy_window, t.noisy_epochs), any);
+        FleetRoll { crashed, recovered, tenant_spikes, tenant_noisy }
+    }
+
+    /// What node `node`'s report of the previous epoch says when it
+    /// reaches the coordinator at `tick`, as `(cap, perf)`, or `None`
+    /// when it never arrives. The honest report carries `cap`, the cap
+    /// the node ran on, and `perf`, the throughput it measured; a
+    /// straggler's lags a further epoch behind and carries `lagged`.
+    /// While report faults are armed, one draw decides whether the
+    /// report is dropped, delayed (carrying `lagged`), or garbled (a NaN
+    /// or absurd `perf`, or a negative cap). A down node sends nothing
+    /// and draws nothing.
+    #[must_use]
+    pub fn report(
+        &self,
+        tick: usize,
+        node: usize,
+        cap: Watts,
+        lagged: Watts,
+        perf: f64,
+    ) -> Option<(Watts, f64)> {
+        if self.down.active(node) {
+            return None;
+        }
+        let mut cap = if self.straggle.active(node) { lagged } else { cap };
+        let mut perf = perf;
+        let faults = self.plan.reports;
+        if faults.window.active(tick) {
+            let mut rng = decision_rng(self.plan.seed, tick, STREAM_REPORT, node as u64);
+            let u = rng.next_f64();
+            if u < faults.drop_prob {
+                return None;
+            } else if u < faults.drop_prob + faults.delay_prob {
+                cap = lagged;
+            } else if u < faults.drop_prob + faults.delay_prob + faults.garble_prob {
+                let g = rng.next_f64();
+                if g < 1.0 / 3.0 {
+                    perf = f64::NAN;
+                } else if g < 2.0 / 3.0 {
+                    perf = 1.0e9;
+                } else {
+                    cap = Watts::new(-5.0);
+                }
+            }
+        }
+        Some((cap, perf))
+    }
+
+    /// Does attempt `attempt` (0-based) at writing `target` as node
+    /// `node`'s cap fail at `tick`? An active write outage fails every
+    /// attempt, so retries cannot absorb it; stochastic failures draw
+    /// afresh per attempt, keyed on the write, so retries can.
+    #[must_use]
+    pub fn write_fails(&self, tick: usize, node: usize, target: Watts, attempt: u32) -> bool {
+        if self.write_outage.active(node) {
+            return true;
+        }
+        let faults = self.plan.writes;
+        if faults.fail_prob <= 0.0 || !faults.window.active(tick) {
+            return false;
+        }
+        let key = write_key(&format!("cluster.node{node}"), target);
+        let stream = STREAM_CAP ^ key.wrapping_mul(GOLDEN);
+        decision_rng(self.plan.seed, tick, stream, u64::from(attempt)).next_f64() < faults.fail_prob
+    }
+
+    /// Which nodes are down.
+    #[must_use]
+    pub fn down_mask(&self) -> Vec<bool> {
+        self.down.until.iter().map(Option::is_some).collect()
+    }
+
+    /// The throughput multiplier of node `node` while it straggles and
+    /// is up; `None` otherwise.
+    #[must_use]
+    pub fn slowdown(&self, node: usize) -> Option<f64> {
+        (self.straggle.active(node) && !self.down.active(node)).then_some(self.plan.nodes.slowdown)
+    }
+
+    /// The demand multiplier each tenant runs at: 1 when calm, else the
+    /// larger of the spike and noisy factors whose episodes are active
+    /// (both are validated finite and at least 1).
+    #[must_use]
+    pub fn tenant_demand(&self) -> Vec<f64> {
+        let t = self.plan.tenants;
+        (0..self.spike.until.len())
+            .map(|i| {
+                let spike = if self.spike.active(i) { t.spike_factor } else { 1.0 };
+                let noisy = if self.noisy.active(i) { t.noisy_factor } else { 1.0 };
+                spike.max(noisy)
+            })
+            .collect()
+    }
+
+    /// Is global coordination unavailable at `tick`?
+    #[must_use]
+    pub fn coordinator_outage(&self, tick: usize) -> bool {
+        self.plan.coordinator_outage.active(tick)
+    }
+
+    /// The budget factors (of the initial budget) scheduled for `tick`,
+    /// in plan order.
+    #[must_use]
+    pub fn budget_steps(&self, tick: usize) -> Vec<f64> {
+        self.plan.budget_steps.iter().filter(|s| s.at == tick).map(|s| s.factor).collect()
     }
 }
 
@@ -661,6 +898,77 @@ mod tests {
         let mut plan = FleetFaultPlan::noisy_neighbor(1);
         plan.tenants.noisy_factor = 0.5;
         assert!(plan.validate().is_err(), "a demand multiplier below 1 is not a hog");
+    }
+
+    /// The expiry rule every episode kind shares: an episode ending at
+    /// tick `t` frees its entity, which draws nothing until `t + 1`.
+    #[test]
+    fn an_episode_ending_this_tick_draws_nothing_this_tick() {
+        let mut e = Episodes::new(STREAM_NODE, 1);
+        let always = (1.0, FaultWindow::new(0, 100), 2);
+        assert_eq!(e.roll(1, 0, always, |_| true), (1, 0));
+        assert_eq!(e.roll(1, 1, always, |_| true), (0, 0));
+        assert_eq!(e.roll(1, 2, always, |_| true), (0, 1), "the expiry tick draws nothing");
+        assert!(!e.active(0));
+        assert_eq!(e.roll(1, 3, always, |_| true), (1, 0));
+        assert_eq!(e.roll(1, 4, always, |_| false), (0, 0), "an ineligible entity never starts");
+    }
+
+    fn certain_crashes_and_stragglers() -> FleetFaultPlan {
+        FleetFaultPlan {
+            nodes: NodeFaults {
+                crash_prob: 1.0,
+                crash_window: FaultWindow::new(0, 1),
+                outage_epochs: 3,
+                straggler_prob: 1.0,
+                straggler_window: FaultWindow::new(0, 10),
+                straggle_epochs: 2,
+                slowdown: 0.5,
+            },
+            ..FleetFaultPlan::calm(3)
+        }
+    }
+
+    #[test]
+    fn down_nodes_neither_straggle_nor_report_and_re_arming_keeps_episodes() {
+        let mut faults = FleetFaults::new(2);
+        faults.arm(certain_crashes_and_stragglers()).unwrap();
+        let rolled = faults.roll(0);
+        assert_eq!((rolled.crashed, rolled.recovered), (2, 0));
+        assert_eq!(faults.down_mask(), vec![true, true]);
+        assert_eq!(faults.slowdown(0), None, "a node that crashed this tick cannot straggle");
+        assert_eq!(faults.report(0, 0, Watts::new(90.0), Watts::new(80.0), 0.5), None);
+        // Re-arming replaces the plan only: the outage runs on.
+        faults.arm(FleetFaultPlan::calm(3)).unwrap();
+        assert_eq!(faults.roll(1), FleetRoll::default());
+        assert_eq!(faults.down_mask(), vec![true, true]);
+        assert_eq!(faults.roll(3).recovered, 2);
+        let honest = faults.report(3, 1, Watts::new(90.0), Watts::new(80.0), 0.5);
+        assert_eq!(honest, Some((Watts::new(90.0), 0.5)));
+    }
+
+    #[test]
+    fn a_write_outage_fails_every_attempt_and_a_straggler_reports_late() {
+        let mut faults = FleetFaults::new(1);
+        faults
+            .arm(FleetFaultPlan {
+                writes: FleetWriteFaults {
+                    outage_prob: 1.0,
+                    outage_epochs: 2,
+                    outage_window: FaultWindow::new(0, 1),
+                    ..FleetWriteFaults::NONE
+                },
+                nodes: NodeFaults { crash_prob: 0.0, ..certain_crashes_and_stragglers().nodes },
+                ..FleetFaultPlan::calm(3)
+            })
+            .unwrap();
+        let _ = faults.roll(0);
+        assert!((0..4).all(|a| faults.write_fails(0, 0, Watts::new(50.0), a)));
+        assert_eq!(faults.slowdown(0), Some(0.5));
+        let late = faults.report(0, 0, Watts::new(90.0), Watts::new(80.0), 0.5);
+        assert_eq!(late, Some((Watts::new(80.0), 0.5)));
+        let _ = faults.roll(2);
+        assert!(!faults.write_fails(2, 0, Watts::new(50.0), 0), "the outage is over");
     }
 
     #[test]

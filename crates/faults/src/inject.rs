@@ -15,7 +15,7 @@ use pbc_types::rng::XorShift64Star;
 use pbc_types::Watts;
 
 /// Weyl-ish odd constant spreading the tick across the seed space.
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Stream constant for sensor decisions.
 const STREAM_SENSOR: u64 = 0x5EED_0001;
 /// Stream constant for enforcement-write decisions.
@@ -68,9 +68,9 @@ impl InjectionTally {
 /// with an optional per-entity `salt` (node index, write key, retry
 /// attempt) folded in. This is the determinism contract in one place:
 /// no generator state crosses decisions, so the outcome at tick `k`
-/// never depends on how many draws happened before it. The fleet
-/// coordinator keys its crash/straggler/report/write draws through
-/// this helper so cluster chaos replays bit-identically at any
+/// never depends on how many draws happened before it.
+/// [`crate::FleetFaults`] keys its crash/straggler/report/write draws
+/// through this helper so cluster chaos replays bit-identically at any
 /// `PBC_THREADS`.
 #[must_use]
 pub fn decision_rng(seed: u64, tick: usize, stream: u64, salt: u64) -> XorShift64Star {

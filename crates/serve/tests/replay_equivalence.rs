@@ -180,6 +180,33 @@ fn a_rejected_provision_answers_what_node_answers() {
     assert_eq!(engine.session_count(), 0);
 }
 
+/// Reported caps that are not numbers cannot match any probe: the
+/// observation is rejected as out of range instead of slipping past the
+/// staleness check (a NaN never compares as stale) and moving the best
+/// split.
+#[test]
+fn nan_reported_caps_are_rejected_and_leave_the_best_split_alone() {
+    let engine = ServeEngine::new();
+    let mut out = String::new();
+    engine.dispatch_into("node 7 ivybridge stream 208", &mut out);
+    engine.dispatch_into("budget 7 190", &mut out);
+    let probe = parse_alloc_line(&out).expect("alloc line");
+    // The baseline epoch at the issued caps, with a low surrogate that
+    // any later admitted reading would beat.
+    engine.dispatch_into(
+        &format!("observe 7 0.1 120.5 61.2 {} {}", probe.proc.value(), probe.mem.value()),
+        &mut out,
+    );
+    assert!(out.ends_with("outcome=used"), "{out}");
+    engine.dispatch_into("query 7", &mut out);
+    let before = out.clone();
+
+    engine.dispatch_into("observe 7 0.93 120.5 61.2 NaN NaN", &mut out);
+    assert!(out.starts_with("err rejected-observation"), "{out}");
+    engine.dispatch_into("query 7", &mut out);
+    assert_eq!(out, before, "a rejected observation must not move the best split");
+}
+
 #[test]
 fn observation_validation_mirrors_the_coordinator() {
     let engine = ServeEngine::new();
@@ -213,7 +240,7 @@ fn observation_validation_mirrors_the_coordinator() {
     engine.dispatch_into("observe 9 0.9 100 50 1.0 1.0", &mut out);
     assert!(out.starts_with("err rejected-observation"), "{out}");
 
-    // Re-arm, then an absurd surrogate (beyond max_credible_perf) →
+    // Re-arm, then an absurd surrogate (beyond MAX_CREDIBLE_PERF) →
     // rejected-observation even with the correct caps.
     engine.dispatch_into("observe 9 0.9 100 50 1.0 1.0", &mut out);
     assert!(out.ends_with("outcome=used"), "{out}");

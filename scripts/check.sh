@@ -42,6 +42,9 @@ if cargo tree --workspace --edges normal,build --prefix none \
     exit 1
 fi
 
+echo "==> lines of code (information only, no gate)"
+sh scripts/loc.sh
+
 echo "==> bench smoke (no timing claims, just 'still runs')"
 # Without `--bench` every bench binary runs each benchmark once; only
 # the `cargo bench` steps below time anything.
