@@ -4,10 +4,11 @@
 //! The headline is `fastpath/set-budget-table` — an
 //! `OnlineCoordinator::set_budget` call served off a precomputed
 //! `CurveTable`, alternating between two budgets so every call takes the
-//! real `Applied` path. It is compared against `fastpath/cold-solve`
-//! (one direct solver call, the *minimum* conceivable cost of answering
-//! a budget change with the solver in the loop) and the medians' ratio
-//! is recorded as the `fastpath/set-budget-vs-cold-solve`
+//! real `Applied` path. It is timed in alternating batches
+//! (`Bench::run_pair`) against `fastpath/cold-solve` (one direct solver
+//! call, the *minimum* conceivable cost of answering a budget change
+//! with the solver in the loop) and the median per-pair ratio is
+//! recorded as the `fastpath/set-budget-vs-cold-solve`
 //! `"type":"bench-ratio"` line. The ratio is asserted ≥ 10× here and
 //! gated again in `scripts/check.sh`, next to the sweep-curve gate.
 //!
@@ -63,17 +64,6 @@ fn set_budget_vs_cold_solve(bench: &mut Bench, problem: &PowerBoundedProblem) {
         OnlineConfig::default(),
     )
     .with_table(table);
-    let mut flip = false;
-    let table_ns = bench.run("fastpath/set-budget-table", || {
-        // Alternate so every call is a real budget *change*, never the
-        // `Unchanged` early-out.
-        flip = !flip;
-        let next = if flip { budget_a } else { budget_b };
-        let outcome = coord.set_budget(black_box(next));
-        assert!(matches!(outcome, BudgetOutcome::Applied));
-        coord.best()
-    });
-
     // The floor of any solver-in-the-loop design: a single solve of one
     // already-known allocation (a full re-optimization sweeps dozens).
     let alloc = sweep_budget(problem, DEFAULT_STEP)
@@ -81,17 +71,32 @@ fn set_budget_vs_cold_solve(bench: &mut Bench, problem: &PowerBoundedProblem) {
         .best()
         .expect("feasible point")
         .alloc;
-    let solve_ns = bench.run("fastpath/cold-solve", || {
+    let cold_solve = || {
         solve(
             black_box(&problem.platform),
             black_box(&problem.workload),
             black_box(alloc),
         )
         .expect("solve succeeds")
-    });
+    };
+    let mut flip = false;
+    let set_budget = || {
+        // Alternate so every call is a real budget *change*, never the
+        // `Unchanged` early-out.
+        flip = !flip;
+        let next = if flip { budget_a } else { budget_b };
+        let outcome = coord.set_budget(black_box(next));
+        assert!(matches!(outcome, BudgetOutcome::Applied));
+        coord.best()
+    };
+    let speedup = bench.run_pair(
+        "fastpath/cold-solve",
+        cold_solve,
+        "fastpath/set-budget-table",
+        set_budget,
+    );
 
-    if let (Some(table_ns), Some(solve_ns)) = (table_ns, solve_ns) {
-        let speedup = solve_ns / table_ns;
+    if let Some(speedup) = speedup {
         bench.record_ratio("fastpath/set-budget-vs-cold-solve", speedup);
         assert!(
             speedup >= MIN_FASTPATH_SPEEDUP,

@@ -9,7 +9,8 @@
 //!
 //! The headline comparison is the shared-grid oracle: one
 //! `sweep_curve` over a 10-budget ladder against 10 independent
-//! `sweep_budget` calls. The medians' ratio is recorded as a
+//! `sweep_budget` calls, timed in alternating batches
+//! (`Bench::run_pair`). The median per-pair ratio is recorded as a
 //! `"type":"bench-ratio"` line and asserted to be at least 2x —
 //! `scripts/check.sh` gates on the recorded value too.
 //!
@@ -24,10 +25,14 @@
 //! mix at 512 and 4096 nodes, the budget moving every iteration. The
 //! median ratio is recorded as `cluster/epoch-4096-vs-512`, which
 //! `scripts/check.sh` also gates.
+//!
+//! `cluster/fleet-build-512-cold` times profiling that calm fleet from
+//! cold registries, the set-up cost a fresh process pays; it is kept in
+//! the bench history, ungated.
 
 use pbc_bench::Bench;
 use pbc_cluster::{water_fill, Fleet, FleetCoordinator, NodeCurve, SpecLine, DEFAULT_GRANT};
-use pbc_core::{sweep_budget, sweep_curve, PowerBoundedProblem, DEFAULT_STEP};
+use pbc_core::{sweep_budget, sweep_curve, CurveTable, PowerBoundedProblem, DEFAULT_STEP};
 use pbc_platform::presets::{ivybridge, titan_xp};
 use pbc_powersim::{solve, SolveMemo};
 use pbc_trace::names;
@@ -66,6 +71,7 @@ fn main() {
     cluster_water_fill(&mut bench);
     cluster_water_fill_scaling(&mut bench);
     cluster_epoch_scaling(&mut bench);
+    cluster_fleet_build_cold(&mut bench);
 
     // The conservation law, over everything the timed runs accumulated.
     let counters = pbc_trace::snapshot().counters;
@@ -89,7 +95,7 @@ fn curve_vs_independent_budgets(bench: &mut Bench) {
         .expect("problem is well-formed");
     let budgets: Vec<Watts> = (0..10).map(|i| Watts::new(160.0 + 8.0 * i as f64)).collect();
 
-    let independent = bench.run("sweep/10-budgets-independent", || {
+    let independent = || {
         budgets
             .iter()
             .map(|&budget| {
@@ -103,8 +109,8 @@ fn curve_vs_independent_budgets(bench: &mut Bench) {
                 profile
             })
             .collect::<Vec<_>>()
-    });
-    let curve = bench.run("sweep/10-budgets-curve", || {
+    };
+    let curve = || {
         // Cold memo every iteration: the speedup must come from sharing
         // *within* one curve call, not from a cache the previous
         // iteration left warm.
@@ -113,10 +119,15 @@ fn curve_vs_independent_budgets(bench: &mut Bench) {
             .expect("curve succeeds");
         assert_eq!(profiles.len(), budgets.len());
         profiles
-    });
+    };
+    let speedup = bench.run_pair(
+        "sweep/10-budgets-independent",
+        independent,
+        "sweep/10-budgets-curve",
+        curve,
+    );
 
-    if let (Some(independent_ns), Some(curve_ns)) = (independent, curve) {
-        let speedup = independent_ns / curve_ns;
+    if let Some(speedup) = speedup {
         bench.record_ratio("sweep/curve-vs-budgets-speedup", speedup);
         assert!(
             speedup >= MIN_CURVE_SPEEDUP,
@@ -236,9 +247,27 @@ fn cluster_epoch_scaling(bench: &mut Bench) {
     }
 }
 
+/// Profiling a 512-node calm fleet from cold: both registries cleared
+/// every iteration, as a fresh process would start. Three classes, one
+/// caller-thread shared-grid pass each.
+fn cluster_fleet_build_cold(bench: &mut Bench) {
+    let spec = calm_spec(512);
+    bench.run("cluster/fleet-build-512-cold", || {
+        CurveTable::clear_shared();
+        SolveMemo::clear_shared();
+        let fleet = Fleet::build(black_box(&spec)).expect("fleet profiles");
+        assert_eq!(fleet.classes.len(), 3);
+        fleet
+    });
+}
+
 /// The calm fleet mix at `nodes` nodes (a multiple of 4).
 fn calm_fleet(nodes: usize) -> Fleet {
-    let spec: Vec<SpecLine> = [
+    Fleet::build(&calm_spec(nodes)).expect("fleet profiles")
+}
+
+fn calm_spec(nodes: usize) -> Vec<SpecLine> {
+    [
         (nodes / 2, "ivybridge", "stream"),
         (nodes / 4, "haswell", "dgemm"),
         (nodes / 4, "titan-xp", "sgemm"),
@@ -249,8 +278,7 @@ fn calm_fleet(nodes: usize) -> Fleet {
         platform: platform.to_string(),
         bench: workload.to_string(),
     })
-    .collect();
-    Fleet::build(&spec).expect("fleet profiles")
+    .collect()
 }
 
 fn fleet_curves(fleet: &Fleet) -> Vec<NodeCurve<'_>> {

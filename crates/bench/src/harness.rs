@@ -3,8 +3,10 @@
 //! Criterion cannot be vendored into an offline workspace, so the bench
 //! targets use this harness instead: warm up, run timed batches for a
 //! fixed measurement window, and report min / median / mean ns per
-//! iteration. It understands the arguments cargo passes to bench
-//! binaries: a name filter, and `--bench`, which `cargo bench` sends.
+//! iteration; two benchmarks whose ratio a gate bounds are timed in
+//! alternating batches by [`Bench::run_pair`]. It understands the
+//! arguments cargo passes to bench binaries: a name filter, and
+//! `--bench`, which `cargo bench` sends.
 //! Without `--bench` — under `cargo test --benches`, which sends no
 //! flag a `harness = false` binary would see, or when a binary is run
 //! by hand — every benchmark runs once as a smoke run, so the bench
@@ -68,51 +70,77 @@ impl Bench {
     /// so derived metrics (see [`Bench::record_ratio`]) are only computed
     /// from real timings.
     pub fn run<T, F: FnMut() -> T>(&mut self, name: &str, mut f: F) -> Option<f64> {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return None;
-            }
+        if !self.selects(name) {
+            return None;
         }
         self.ran += 1;
         if self.smoke {
-            black_box(f());
-            println!("bench {name:<40} ok (smoke)");
+            smoke(name, &mut f);
             return None;
         }
-
-        // Warmup, and size the batch so one batch is ~1% of the window.
-        let warm_start = Instant::now();
-        let mut warm_iters: u64 = 0;
-        while warm_start.elapsed() < WARMUP_WINDOW || warm_iters < 3 {
-            black_box(f());
-            warm_iters += 1;
-        }
-        let per_iter = warm_start.elapsed().as_nanos() as f64 / warm_iters as f64;
-        let target = MEASURE_WINDOW.as_nanos() as f64 / 100.0 / per_iter.max(1.0);
-        let batch = u64_from_f64(target).unwrap_or(1).max(1);
-
+        let batch = warm_up(&mut f);
         let mut samples: Vec<f64> = Vec::new();
         let measure_start = Instant::now();
         while measure_start.elapsed() < MEASURE_WINDOW && samples.len() < MAX_SAMPLES {
-            let t0 = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            samples.push(t0.elapsed().as_nanos() as f64 / batch as f64);
+            samples.push(time_batch(&mut f, batch));
         }
-        samples.sort_by(f64::total_cmp);
-        let min = samples[0];
-        let median = samples[samples.len() / 2];
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        Some(report(name, samples, batch))
+    }
+
+    /// Time two benchmarks against each other in one window: batches of
+    /// `a` and `b` alternate (`a b`, then `b a`, …), and each pair of
+    /// neighbouring batches yields one ratio `a / b` of ns per iteration.
+    /// A host that changes speed between two separate windows moves a
+    /// ratio of their medians; here both sides of every pair see the
+    /// same host, so the median of the per-pair ratios holds still.
+    ///
+    /// Both benchmarks are reported and recorded as [`Bench::run`]
+    /// reports one. Returns that median ratio; runs when the filter
+    /// selects either name, and returns `None` in smoke mode.
+    pub fn run_pair<A, B>(
+        &mut self,
+        a_name: &str,
+        mut a: impl FnMut() -> A,
+        b_name: &str,
+        mut b: impl FnMut() -> B,
+    ) -> Option<f64> {
+        if !self.selects(a_name) && !self.selects(b_name) {
+            return None;
+        }
+        self.ran += 2;
+        if self.smoke {
+            smoke(a_name, &mut a);
+            smoke(b_name, &mut b);
+            return None;
+        }
+        let (batch_a, batch_b) = (warm_up(&mut a), warm_up(&mut b));
+        let (mut samples_a, mut samples_b) = (Vec::new(), Vec::new());
+        let measure_start = Instant::now();
+        while measure_start.elapsed() < 2 * MEASURE_WINDOW && samples_a.len() < MAX_SAMPLES {
+            if samples_a.len() % 2 == 0 {
+                samples_a.push(time_batch(&mut a, batch_a));
+                samples_b.push(time_batch(&mut b, batch_b));
+            } else {
+                samples_b.push(time_batch(&mut b, batch_b));
+                samples_a.push(time_batch(&mut a, batch_a));
+            }
+        }
+        let mut ratios: Vec<f64> = samples_a.iter().zip(&samples_b).map(|(x, y)| x / y).collect();
+        ratios.sort_by(f64::total_cmp);
+        let n = ratios.len();
+        let ratio = ratios[n / 2];
+        report(a_name, samples_a, batch_a);
+        report(b_name, samples_b, batch_b);
+        let (q1, q3) = (ratios[n / 4], ratios[3 * n / 4]);
         println!(
-            "bench {name:<40} min {:>12} median {:>12} mean {:>12} ({} samples x {batch} iters)",
-            fmt_ns(min),
-            fmt_ns(median),
-            fmt_ns(mean),
-            samples.len(),
+            "pair  {a_name} / {b_name}: median ratio {ratio:.2}x \
+             (quartiles {q1:.2}x-{q3:.2}x, {n} pairs)"
         );
-        append_json_record(name, min, median, mean, samples.len(), batch);
-        Some(median)
+        Some(ratio)
+    }
+
+    fn selects(&self, name: &str) -> bool {
+        self.filter.as_ref().map_or(true, |filter| name.contains(filter.as_str()))
     }
 
     /// Record a ratio derived from two measured medians (e.g. a baseline
@@ -132,6 +160,51 @@ impl Bench {
             }
         }
     }
+}
+
+/// Run `f` once, untimed.
+fn smoke<T>(name: &str, f: &mut impl FnMut() -> T) {
+    black_box(f());
+    println!("bench {name:<40} ok (smoke)");
+}
+
+/// Warm `f` up and size its batch so one batch is ~1% of the window.
+fn warm_up<T>(f: &mut impl FnMut() -> T) -> u64 {
+    let warm_start = Instant::now();
+    let mut warm_iters: u64 = 0;
+    while warm_start.elapsed() < WARMUP_WINDOW || warm_iters < 3 {
+        black_box(f());
+        warm_iters += 1;
+    }
+    let per_iter = warm_start.elapsed().as_nanos() as f64 / warm_iters as f64;
+    let target = MEASURE_WINDOW.as_nanos() as f64 / 100.0 / per_iter.max(1.0);
+    u64_from_f64(target).unwrap_or(1).max(1)
+}
+
+/// Time one batch of `f`, in ns per iteration.
+fn time_batch<T>(f: &mut impl FnMut() -> T, batch: u64) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..batch {
+        black_box(f());
+    }
+    t0.elapsed().as_nanos() as f64 / batch as f64
+}
+
+/// Print and record one benchmark's samples; returns their median.
+fn report(name: &str, mut samples: Vec<f64>, batch: u64) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    let min = samples[0];
+    let median = samples[samples.len() / 2];
+    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+    println!(
+        "bench {name:<40} min {:>12} median {:>12} mean {:>12} ({} samples x {batch} iters)",
+        fmt_ns(min),
+        fmt_ns(median),
+        fmt_ns(mean),
+        samples.len(),
+    );
+    append_json_record(name, min, median, mean, samples.len(), batch);
+    median
 }
 
 /// Append one `"type":"bench"` timing record to the `PBC_BENCH_JSON`
@@ -216,6 +289,18 @@ mod tests {
         assert_eq!(calls, 1);
         assert_eq!(b.ran, 1);
         assert_eq!(median, None);
+    }
+
+    #[test]
+    fn smoke_mode_runs_a_pair_once_each_when_either_name_matches() {
+        let mut b = Bench { filter: Some("curve".into()), smoke: true, ran: 0 };
+        let (mut calls_a, mut calls_b) = (0, 0);
+        let timing = b.run_pair("x/independent", || calls_a += 1, "x/curve", || calls_b += 1);
+        assert!(timing.is_none());
+        assert_eq!((calls_a, calls_b, b.ran), (1, 1, 2));
+        let skipped = b.run_pair("y/a", || calls_a += 1, "y/b", || calls_b += 1);
+        assert!(skipped.is_none());
+        assert_eq!((calls_a, calls_b, b.ran), (1, 1, 2));
     }
 
     #[test]

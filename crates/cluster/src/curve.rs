@@ -4,11 +4,10 @@
 //! The curve type itself now lives in the core crate as
 //! [`pbc_core::fastpath::CurveTable`]: the cluster water-filler and the
 //! single-node steady-state fast path interpolate the *same* table (one
-//! shared-grid oracle pass per class, bit-identical regardless of thread
-//! count), so there is exactly one `perf_max ~ P_b` representation in
-//! the workspace. This module re-exports it under its historical cluster
-//! name, along with the class floor/ceiling helpers the partitioner
-//! uses to bound shares.
+//! shared-grid oracle pass per class, on the calling thread), so there is
+//! exactly one `perf_max ~ P_b` representation in the workspace. This
+//! module re-exports it under its historical cluster name, along with
+//! the class floor/ceiling helpers the partitioner uses to bound shares.
 //!
 //! Between samples the curve interpolates linearly. §3.1 of the paper
 //! shows `perf_max ~ P_b` is monotone non-decreasing and concave-ish

@@ -13,13 +13,12 @@
 //! Nodes of the same `(platform, benchmark)` pair form one *class*:
 //! they share a demand model, a floor, a COORD profile, and a
 //! [`PerfCurve`], so a 128-node fleet with six classes profiles six
-//! curves, not 128. Per-class profiling goes through the shared-grid
-//! oracle (one pooled sweep per class); per-node coordination later runs
-//! on the coordinator's own thread.
+//! curves, not 128. Each class profiles through one shared-grid oracle
+//! pass; profiling and per-node coordination both run on the caller's
+//! thread.
 
 use crate::curve::{node_ceiling, node_floor, PerfCurve};
 use pbc_core::{CriticalPowers, GpuCoordParams};
-use pbc_par::Pool;
 use pbc_platform::{presets, NodeSpec, Platform, PlatformId};
 use pbc_powersim::WorkloadDemand;
 use pbc_types::{PbcError, Result, Watts};
@@ -139,18 +138,10 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Build a fleet on the global pool.
+    /// Build a fleet: resolve every spec line, then profile each
+    /// distinct class once, in spec order, on the calling thread.
     #[must_use = "the fleet result carries either the profiled fleet or the failure"]
     pub fn build(spec: &[SpecLine]) -> Result<Fleet> {
-        Self::build_with_pool(spec, Pool::global())
-    }
-
-    /// Build a fleet, profiling every class's curve on an explicit pool.
-    /// Classes profile sequentially; each class's shared-grid sweep is
-    /// internally pooled, so the curves are bit-identical across thread
-    /// counts.
-    #[must_use = "the fleet result carries either the profiled fleet or the failure"]
-    pub fn build_with_pool(spec: &[SpecLine], pool: &Pool) -> Result<Fleet> {
         let mut classes: Vec<NodeClass> = Vec::new();
         let mut keys: Vec<(PlatformId, String)> = Vec::new();
         let mut nodes = Vec::new();
@@ -185,7 +176,7 @@ impl Fleet {
                         }
                         NodeSpec::Gpu(gpu) => ClassCoord::Gpu(GpuCoordParams::profile(gpu, &demand)?),
                     };
-                    let curve = PerfCurve::profile_with_pool(&platform, &demand, pool)?;
+                    let curve = PerfCurve::profile(&platform, &demand)?;
                     classes.push(NodeClass {
                         floor: node_floor(&platform, &demand),
                         ceiling: node_ceiling(&platform, &demand),

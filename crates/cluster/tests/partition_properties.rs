@@ -5,18 +5,23 @@
 //! * **feasibility** — every share ≥ that node's floor, which itself is
 //!   ≥ the platform's `min_node_power`;
 //! * **determinism** — the partition (and everything feeding it: curve
-//!   profiling, per-node evaluation) is bit-identical across executor
-//!   counts, mirroring `sweep_curve_equivalence.rs`. Thread counts are
-//!   pinned with explicit `Pool::new(n)` instances rather than by
-//!   mutating `PBC_THREADS`, which is process-global.
+//!   profiling, per-node evaluation) is bit-identical whatever ran
+//!   before it: the caller-thread profile equals the pooled shared-grid
+//!   oracle at 1, 2 and 8 executors (mirroring
+//!   `sweep_curve_equivalence.rs`), and a fleet profiled from a cold
+//!   memo decides exactly like one profiled from a warm memo. Thread
+//!   counts are pinned with explicit `Pool::new(n)` instances rather
+//!   than by mutating `PBC_THREADS`, which is process-global.
 
 use pbc_cluster::{
-    fill_shares, parse_spec, water_fill, Fleet, FleetCoordinator, NodeCurve, Objective,
-    PerfCurve, DEFAULT_GRANT,
+    fill_shares, parse_spec, water_fill, Fleet, FleetCoordinator, NodeClass, NodeCurve,
+    Objective, PerfCurve, DEFAULT_GRANT,
 };
+use pbc_core::{sweep_curve_with_pool, PowerBoundedProblem, DEFAULT_STEP};
 use pbc_par::Pool;
 use pbc_platform::presets::by_id;
 use pbc_platform::PlatformId;
+use pbc_powersim::SolveMemo;
 use pbc_types::{Watts, XorShift64Star};
 use pbc_workloads::by_name;
 
@@ -26,9 +31,9 @@ const MIXED_SPEC: &str = "6 ivybridge stream\n\
                           2 titan-xp sgemm\n\
                           1 titan-v minife\n";
 
-fn mixed_fleet(pool: &Pool) -> Fleet {
+fn mixed_fleet() -> Fleet {
     let spec = parse_spec(MIXED_SPEC).unwrap();
-    Fleet::build_with_pool(&spec, pool).unwrap()
+    Fleet::build(&spec).unwrap()
 }
 
 fn fleet_curves(fleet: &Fleet) -> Vec<NodeCurve<'_>> {
@@ -39,10 +44,34 @@ fn fleet_curves(fleet: &Fleet) -> Vec<NodeCurve<'_>> {
         .collect()
 }
 
+/// A class's table re-profiled by the pooled shared-grid oracle from a
+/// cold memo: the same budget ladder `CurveTable::profile` walks, swept
+/// on `pool`.
+fn pooled_curve(class: &NodeClass, pool: &Pool) -> PerfCurve {
+    let table = &class.curve;
+    let ceiling = class.ceiling.max(table.floor + table.step);
+    let mut ladder = Vec::new();
+    let mut b = table.floor;
+    while b < ceiling {
+        ladder.push(b);
+        b = b + table.step;
+    }
+    ladder.push(ceiling);
+    let problem =
+        PowerBoundedProblem::new(class.platform.clone(), class.demand.clone(), ladder[0]).unwrap();
+    SolveMemo::clear_shared();
+    let profiles = sweep_curve_with_pool(&problem, &ladder, DEFAULT_STEP, pool).unwrap();
+    PerfCurve {
+        floor: table.floor,
+        step: table.step,
+        perf: profiles.iter().map(|p| p.perf_max()).collect(),
+        allocs: profiles.iter().map(|p| p.best().map(|pt| pt.alloc)).collect(),
+    }
+}
+
 #[test]
 fn shares_conserve_the_global_budget() {
-    let pool = Pool::new(2);
-    let fleet = mixed_fleet(&pool);
+    let fleet = mixed_fleet();
     let curves = fleet_curves(&fleet);
     // From barely feasible to far past saturation.
     for slack in [0.0, 25.0, 150.0, 600.0, 5000.0] {
@@ -59,8 +88,7 @@ fn shares_conserve_the_global_budget() {
 
 #[test]
 fn every_share_covers_the_node_floor_and_the_platform_minimum() {
-    let pool = Pool::new(2);
-    let fleet = mixed_fleet(&pool);
+    let fleet = mixed_fleet();
     let curves = fleet_curves(&fleet);
     let global = fleet.min_total_power() + Watts::new(180.0);
     let shares = water_fill(&curves, global, DEFAULT_GRANT).unwrap();
@@ -81,50 +109,52 @@ fn every_share_covers_the_node_floor_and_the_platform_minimum() {
 
 #[test]
 fn infeasible_global_budget_is_refused_with_the_true_minimum() {
-    let pool = Pool::new(1);
-    let fleet = mixed_fleet(&pool);
+    let fleet = mixed_fleet();
     let curves = fleet_curves(&fleet);
     let short = fleet.min_total_power() - Watts::new(0.5);
     let err = water_fill(&curves, short, DEFAULT_GRANT).unwrap_err();
     assert!(err.is_infeasible(), "expected BudgetTooSmall, got {err}");
 }
 
-/// The determinism property: profiling the fleet and partitioning the
-/// budget on 1, 2, and 8 executors must produce bit-identical curves
-/// and bit-identical shares.
+/// The determinism property: the fleet's caller-thread curves equal the
+/// pooled oracle's on 1, 2 and 8 executors, rung for rung, and so do the
+/// shares water-filling derives from them.
 #[test]
 fn partition_is_bit_identical_across_thread_counts() {
-    let partition_at = |threads: usize| {
-        let pool = Pool::new(threads);
-        let fleet = mixed_fleet(&pool);
-        let curves = fleet_curves(&fleet);
-        let global = fleet.min_total_power() + Watts::new(200.0);
-        let shares = water_fill(&curves, global, DEFAULT_GRANT).unwrap();
-        let perfs: Vec<Vec<u64>> = fleet
-            .classes
-            .iter()
-            .map(|c| c.curve.perf.iter().map(|v| v.to_bits()).collect())
-            .collect();
-        let bits: Vec<u64> = shares.iter().map(|s| s.value().to_bits()).collect();
-        (perfs, bits)
+    let fleet = mixed_fleet();
+    let global = fleet.min_total_power() + Watts::new(200.0);
+    let bits = |curves: &[NodeCurve<'_>]| -> Vec<u64> {
+        let shares = water_fill(curves, global, DEFAULT_GRANT).unwrap();
+        shares.iter().map(|s| s.value().to_bits()).collect()
     };
-    let one = partition_at(1);
-    let two = partition_at(2);
-    let eight = partition_at(8);
-    assert_eq!(one.0, two.0, "curve samples diverge between 1 and 2 threads");
-    assert_eq!(one.0, eight.0, "curve samples diverge between 1 and 8 threads");
-    assert_eq!(one.1, two.1, "shares diverge between 1 and 2 threads");
-    assert_eq!(one.1, eight.1, "shares diverge between 1 and 8 threads");
+    let want = bits(&fleet_curves(&fleet));
+    for threads in [1, 2, 8] {
+        let pool = Pool::new(threads);
+        let tables: Vec<PerfCurve> =
+            fleet.classes.iter().map(|class| pooled_curve(class, &pool)).collect();
+        for (class, table) in fleet.classes.iter().zip(&tables) {
+            assert_eq!(
+                class.curve, *table,
+                "{}/{}: curve diverges from the pooled oracle at {threads} threads",
+                class.platform.id, class.bench
+            );
+        }
+        let curves: Vec<NodeCurve<'_>> = fleet
+            .nodes
+            .iter()
+            .map(|&c| NodeCurve { floor: fleet.classes[c].floor, curve: &tables[c] })
+            .collect();
+        assert_eq!(bits(&curves), want, "shares diverge at {threads} threads");
+    }
 }
 
 /// Same property one layer up: the full coordinate() decision (shares,
-/// allocations, priced performance) on fleets profiled at different
-/// thread counts replays bit-identically.
+/// allocations, priced performance) replays bit-identically whether the
+/// fleet was profiled from a cold memo or from the warm one a previous
+/// build left behind.
 #[test]
-fn cluster_decisions_are_bit_identical_across_thread_counts() {
-    let decide = |threads: usize| {
-        let pool = Pool::new(threads);
-        let fleet = mixed_fleet(&pool);
+fn cluster_decisions_are_bit_identical_from_a_cold_or_warm_memo() {
+    let decide = |fleet: Fleet| {
         let global = fleet.min_total_power() + Watts::new(200.0);
         let coord = FleetCoordinator::new(fleet, global).unwrap();
         let d = coord.coordinate().unwrap();
@@ -132,20 +162,18 @@ fn cluster_decisions_are_bit_identical_across_thread_counts() {
         let perfs: Vec<u64> = d.perfs.iter().map(|p| p.to_bits()).collect();
         (shares, perfs, d.aggregate_perf.to_bits())
     };
-    let one = decide(1);
-    let two = decide(2);
-    let eight = decide(8);
-    assert_eq!(one, two, "decision diverges between 1 and 2 threads");
-    assert_eq!(one, eight, "decision diverges between 1 and 8 threads");
+    SolveMemo::clear_shared();
+    let cold = decide(mixed_fleet());
+    let warm = decide(mixed_fleet());
+    assert_eq!(cold, warm, "decision diverges between a cold and a warm memo");
 }
 
 /// A single-class fleet has no heterogeneity to exploit: water-filling
 /// and uniform-split must agree (up to the grant quantum's rounding).
 #[test]
 fn homogeneous_fleet_degenerates_to_an_even_split() {
-    let pool = Pool::new(2);
     let spec = parse_spec("4 ivybridge stream").unwrap();
-    let fleet = Fleet::build_with_pool(&spec, &pool).unwrap();
+    let fleet = Fleet::build(&spec).unwrap();
     let curves = fleet_curves(&fleet);
     let global = fleet.min_total_power() + Watts::new(160.0);
     let shares = water_fill(&curves, global, DEFAULT_GRANT).unwrap();
@@ -225,10 +253,9 @@ fn no_objective_ever_breaches_a_ceiling_the_fleet_can_absorb() {
 fn floors_match_the_profiled_platforms() {
     // The curve floor a class reports is the same value `node_floor`
     // computes from the platform and demand — no hidden state.
-    let pool = Pool::new(1);
-    let fleet = mixed_fleet(&pool);
+    let fleet = mixed_fleet();
     for class in &fleet.classes {
-        let again = PerfCurve::profile_with_pool(&class.platform, &class.demand, &pool).unwrap();
+        let again = PerfCurve::profile(&class.platform, &class.demand).unwrap();
         assert_eq!(class.curve.floor.value().to_bits(), again.floor.value().to_bits());
         assert_eq!(class.curve.perf.len(), again.perf.len());
     }

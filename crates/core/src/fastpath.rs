@@ -31,14 +31,13 @@
 //!
 //! Measured on a CI-class container (see `docs/PERFORMANCE.md`), the
 //! table path serves an allocation in tens of nanoseconds against a
-//! ~2.5 µs cold solve — the `scripts/check.sh` gate holds the ratio at
+//! ~1.7 µs cold solve — the `scripts/check.sh` gate holds the ratio at
 //! ≥ 10×.
 
 use crate::critical::CriticalPowers;
 use crate::problem::PowerBoundedProblem;
 use crate::profile::SweepPoint;
-use crate::sweep::{sweep_curve_with_pool, DEFAULT_STEP};
-use pbc_par::Pool;
+use crate::sweep::{sweep_curve_on, DEFAULT_STEP};
 use pbc_platform::{NodeSpec, Platform};
 use pbc_powersim::{BoundedRegistry, SolveMemo, WorkloadDemand};
 use pbc_trace::names;
@@ -100,14 +99,14 @@ pub fn node_ceiling(platform: &Platform, demand: &WorkloadDemand) -> Watts {
 /// between rungs.
 ///
 /// The samples come from one shared-grid oracle pass
-/// ([`sweep_curve_with_pool`](crate::sweep_curve_with_pool)) through the
-/// class's [`SolveMemo`], so they are bit-identical regardless of
-/// thread count — which is what makes table-served decisions
-/// replayable. §3.1 shows `perf_max ~ P_b` is monotone non-decreasing
-/// and concave-ish, so linear interpolation preserves exactly the
-/// marginal-gain structure water-filling needs, and the interpolation
-/// error at any off-grid budget is bounded by the adjacent rungs' gap
-/// (asserted by the fast-path equivalence tests).
+/// ([`sweep_curve`](crate::sweep_curve)'s, on the calling thread) through
+/// the class's [`SolveMemo`], so each rung is bit-identical to a
+/// [`sweep_budget`](crate::sweep_budget) of its budget — which is what
+/// makes table-served decisions replayable. §3.1 shows `perf_max ~ P_b`
+/// is monotone non-decreasing and concave-ish, so linear interpolation
+/// preserves exactly the marginal-gain structure water-filling needs,
+/// and the interpolation error at any off-grid budget is bounded by the
+/// adjacent rungs' gap (asserted by the fast-path equivalence tests).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CurveTable {
     /// Budget of the first sample (the class floor).
@@ -122,29 +121,21 @@ pub struct CurveTable {
 }
 
 /// Process-wide table registry, fingerprinted like the solve-memo
-/// registry. Builds run *outside* the registry lock (they are pooled
-/// sweeps); readers clone an `Arc` once and then serve lock-free.
+/// registry. Builds run *outside* the registry lock (each is a full
+/// oracle pass); readers clone an `Arc` once and then serve lock-free.
 fn tables() -> &'static BoundedRegistry<CurveTable> {
     static TABLES: OnceLock<BoundedRegistry<CurveTable>> = OnceLock::new();
     TABLES.get_or_init(|| BoundedRegistry::new(MAX_SHARED_TABLES, None))
 }
 
 impl CurveTable {
-    /// Profile a class on the global pool.
+    /// Profile a class: one shared-grid oracle pass over the table's
+    /// budget ladder, on the calling thread. A class's few hundred
+    /// distinct solves take a few hundred microseconds, too little to
+    /// repay a pool job, and a serial pass makes every counter it moves
+    /// repeatable.
     #[must_use = "the table result carries either the samples or the solver failure"]
     pub fn profile(platform: &Platform, demand: &WorkloadDemand) -> Result<CurveTable> {
-        Self::profile_with_pool(platform, demand, Pool::global())
-    }
-
-    /// Profile a class on an explicit pool (the determinism property
-    /// tests pin the executor count; production code wants
-    /// [`CurveTable::profile`]).
-    #[must_use = "the table result carries either the samples or the solver failure"]
-    pub fn profile_with_pool(
-        platform: &Platform,
-        demand: &WorkloadDemand,
-        pool: &Pool,
-    ) -> Result<CurveTable> {
         pbc_trace::counter(names::FASTPATH_TABLE_REBUILDS).incr();
         let floor = node_floor(platform, demand);
         let ceiling = node_ceiling(platform, demand).max(floor + TABLE_STEP);
@@ -156,7 +147,7 @@ impl CurveTable {
         }
         ladder.push(ceiling);
         let problem = PowerBoundedProblem::new(platform.clone(), demand.clone(), ladder[0])?;
-        let profiles = sweep_curve_with_pool(&problem, &ladder, DEFAULT_STEP, pool)?;
+        let profiles = sweep_curve_on(&problem, &ladder, DEFAULT_STEP, None)?;
         // An empty profile means the budget is not schedulable (GPU
         // budgets below the settable cap range); `perf_max()` reports it
         // as 0.0, which is exactly the marginal signal water-filling

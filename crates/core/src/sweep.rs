@@ -11,9 +11,10 @@
 //! to per-index slots, so the profile is deterministic — bit-identical
 //! regardless of thread count or steal order.
 //!
-//! Multi-budget curves should use [`sweep_curve`]: it evaluates the
-//! union of every budget's grid in one pooled job through a shared
-//! [`SolveMemo`], so adjacent budgets reuse solver work (observable as
+//! Multi-budget curves should use [`sweep_curve`]: it resolves the
+//! union of every budget's grid against a shared [`SolveMemo`] on the
+//! calling thread and solves only the distinct uncached points, in one
+//! pooled job, so adjacent budgets reuse solver work (observable as
 //! `sweep.curve_reuse_hits`) instead of re-integrating the control
 //! loops per budget.
 //!
@@ -52,7 +53,7 @@ use pbc_platform::Platform;
 use pbc_powersim::{solve, NodeOperatingPoint, SolveMemo, WorkloadDemand};
 use pbc_trace::names;
 use pbc_types::{AllocationSpace, PbcError, PowerAllocation, Result, Watts};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Default sweep stepping, matching the coarse grid of the paper's
@@ -152,28 +153,28 @@ impl SweepCounters {
     }
 }
 
-/// Fan `eval_index` out across the pool under a `sweep` root span, one
-/// `sweep.worker` span per participating executor. Each index writes its
-/// outcome (already counter-accounted by `eval_index`) into its slot.
-/// Preserves the panic contract: a panicking evaluation cancels the rest
-/// of the job, adds the unfinished points to `sweep.points_lost`, and
-/// re-raises on the calling thread.
+/// Run `eval_index` for every index under the `sweep` span `sweep_id`,
+/// across `pool` or, with no pool, on the calling thread — one
+/// `sweep.worker` span per participating executor either way. Each
+/// index writes its own outcome. Preserves the panic contract: a
+/// panicking evaluation cancels the rest of the job, adds the
+/// unfinished evaluations to `sweep.points_lost`, and re-raises on the
+/// calling thread.
 fn run_sweep_job(
-    pool: &Pool,
+    pool: Option<&Pool>,
+    sweep_id: Option<u64>,
     counters: &SweepCounters,
     n: usize,
     eval_index: &(dyn Fn(usize) + Sync),
 ) {
-    let sweep_span = pbc_trace::span(names::SPAN_SWEEP);
-    let sweep_id = sweep_span.id();
-    let stats = pool.run_wrapped(
-        n,
-        &|inner| {
-            let _worker = pbc_trace::span_under(names::SPAN_SWEEP_WORKER, sweep_id);
-            inner();
-        },
-        eval_index,
-    );
+    let wrap = |inner: &mut dyn FnMut()| {
+        let _worker = pbc_trace::span_under(names::SPAN_SWEEP_WORKER, sweep_id);
+        inner();
+    };
+    let stats = match pool {
+        Some(pool) => pool.run_wrapped(n, &wrap, eval_index),
+        None => pbc_par::run_inline(n, &wrap, eval_index),
+    };
     if let Some(payload) = stats.panic {
         // Account for every point the cancelled job dropped, then
         // re-raise the panic on the calling thread. A dying evaluation
@@ -245,7 +246,8 @@ where
     let slots: Vec<Mutex<Option<Slot>>> = (0..allocs.len()).map(|_| Mutex::new(None)).collect();
     let errored = AtomicBool::new(false);
 
-    run_sweep_job(pool, &counters, allocs.len(), &|i| {
+    let sweep_span = pbc_trace::span(names::SPAN_SWEEP);
+    run_sweep_job(Some(pool), sweep_span.id(), &counters, allocs.len(), &|i| {
         if errored.load(Ordering::Relaxed) {
             return;
         }
@@ -265,9 +267,9 @@ where
     })
 }
 
-/// The shared-grid oracle: sweep *every* budget in one pooled job over
-/// the union of the budgets' allocation grids, solving through the
-/// problem's shared [`SolveMemo`].
+/// The shared-grid oracle: sweep *every* budget over the union of the
+/// budgets' allocation grids, solving through the problem's shared
+/// [`SolveMemo`].
 ///
 /// Profiles are bit-identical to calling [`sweep_budget`] once per
 /// budget (each budget's grid is constructed exactly as `sweep_budget`
@@ -275,8 +277,11 @@ where
 /// `pbc_powersim::memo`), but the work is shared three ways: the
 /// nominal reference time is computed once instead of per point,
 /// allocations whose canonical solver inputs repeat across budgets are
-/// served from cache (counted in `sweep.curve_reuse_hits`), and the
-/// whole union grid load-balances as one job instead of N fork-joins.
+/// served from cache (counted in `sweep.curve_reuse_hits`), and only the
+/// distinct uncached points are solved, in one pooled job. Keys and
+/// hits resolve on the calling thread
+/// ([`SolveMemo::solve_batch`]), so the profiles, the `solve.cache_*`
+/// and the `sweep.*` counters do not depend on the thread count.
 ///
 /// `problem.budget` is ignored; `budgets` drives the curve. The error
 /// contract is the per-budget sweep's: infeasible allocations are
@@ -300,61 +305,82 @@ pub fn sweep_curve_with_pool(
     step: Watts,
     pool: &Pool,
 ) -> Result<Vec<SweepProfile>> {
-    // The union grid: every budget's allocation space, tagged with the
-    // budget it belongs to. Spaces are constructed exactly as
-    // `sweep_budget` constructs them so the derived profiles match it
-    // bit for bit.
-    let mut grid: Vec<(usize, PowerAllocation)> = Vec::new();
-    for (bi, &budget) in budgets.iter().enumerate() {
+    sweep_curve_on(problem, budgets, step, Some(pool))
+}
+
+/// [`sweep_curve`] on `pool`, or with no pool on the calling thread
+/// alone — for callers whose curve is too small to repay a pool job.
+#[must_use = "the curve result carries either the profiles or the solver failure"]
+pub(crate) fn sweep_curve_on(
+    problem: &PowerBoundedProblem,
+    budgets: &[Watts],
+    step: Watts,
+    pool: Option<&Pool>,
+) -> Result<Vec<SweepProfile>> {
+    // The union grid: every budget's allocation space, in budget order.
+    // Spaces are constructed exactly as `sweep_budget` constructs them
+    // so the derived profiles match it bit for bit.
+    let mut allocs: Vec<PowerAllocation> = Vec::new();
+    let mut sizes: Vec<usize> = Vec::with_capacity(budgets.len());
+    for &budget in budgets {
         let space = AllocationSpace::new(
             budget,
             problem.proc_cap_range(),
             problem.mem_cap_range(),
             step,
         );
-        grid.extend(space.iter().map(|alloc| (bi, alloc)));
+        let before = allocs.len();
+        allocs.extend(space.iter());
+        sizes.push(allocs.len() - before);
     }
 
     let counters = SweepCounters::register();
-    let reuse_c = pbc_trace::counter(names::SWEEP_CURVE_REUSE_HITS);
-    counters.total.add(grid.len() as u64);
-
+    counters.total.add(allocs.len() as u64);
+    let sweep_span = pbc_trace::span(names::SPAN_SWEEP);
     let memo = SolveMemo::for_problem(&problem.platform, &problem.workload);
-    let slots: Vec<Mutex<Option<Slot>>> = (0..grid.len()).map(|_| Mutex::new(None)).collect();
-    let errored = AtomicBool::new(false);
-    let reuse_hits = AtomicU64::new(0);
-
-    run_sweep_job(pool, &counters, grid.len(), &|i| {
-        if errored.load(Ordering::Relaxed) {
-            return;
-        }
-        let (outcome, hit) = memo.solve_traced(grid[i].1);
-        if hit {
-            reuse_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        eval_into_slot(outcome, &slots[i], &counters, &errored);
+    let solved = memo.solve_batch(&allocs, |n, solve_miss| {
+        run_sweep_job(pool, sweep_span.id(), &counters, n, solve_miss);
     });
-    reuse_c.add(reuse_hits.load(Ordering::Relaxed));
 
-    let mut per_budget: Vec<Vec<SweepPoint>> = budgets.iter().map(|_| Vec::new()).collect();
-    collect_slots(slots, |i, op| {
-        let (bi, alloc) = grid[i];
-        per_budget[bi].push(SweepPoint { alloc, op });
-    })?;
-
-    Ok(budgets
-        .iter()
-        .zip(per_budget)
-        .map(|(&budget, mut points)| {
-            points.sort_by(|a, b| a.alloc.proc.0.total_cmp(&b.alloc.proc.0));
-            SweepProfile {
-                platform: problem.platform.id,
-                workload: problem.workload.name.clone(),
-                budget,
-                points,
+    // Assemble in grid order. A real solver error at the lowest failing
+    // index fails the curve.
+    let (mut evaluated, mut infeasible, mut errors, mut reused) = (0, 0, 0, 0);
+    let mut failure = None;
+    let mut outcomes = allocs.iter().zip(solved);
+    let mut profiles = Vec::with_capacity(budgets.len());
+    for (&budget, &size) in budgets.iter().zip(&sizes) {
+        let mut points = Vec::with_capacity(size);
+        for (&alloc, (outcome, hit)) in outcomes.by_ref().take(size) {
+            reused += u64::from(hit);
+            match outcome {
+                Ok(op) => {
+                    evaluated += 1;
+                    points.push(SweepPoint { alloc, op });
+                }
+                Err(e) if e.is_infeasible() => infeasible += 1,
+                Err(e) => {
+                    errors += 1;
+                    failure.get_or_insert(e);
+                }
             }
-        })
-        .collect())
+        }
+        points.sort_by(|a, b| a.alloc.proc.0.total_cmp(&b.alloc.proc.0));
+        profiles.push(SweepProfile {
+            platform: problem.platform.id,
+            workload: problem.workload.name.clone(),
+            budget,
+            points,
+        });
+    }
+    counters.evaluated.add(evaluated);
+    counters.infeasible.add(infeasible);
+    counters.errors.add(errors);
+    pbc_trace::counter(names::SWEEP_CURVE_REUSE_HITS).add(reused);
+    drop(sweep_span);
+    match failure {
+        Some(e) => Err(e),
+        None => Ok(profiles),
+    }
 }
 
 #[cfg(test)]

@@ -361,9 +361,11 @@ impl Drop for Pool {
     }
 }
 
-/// Inline execution for nested (re-entrant) jobs: same task/wrap/panic
-/// semantics, no extra threads.
-fn run_inline(
+/// [`Pool::run_wrapped`] on the calling thread alone: the same
+/// task/wrap/panic semantics, with no pool, no extra threads and no
+/// `pool.*` accounting. Nested (re-entrant) pool jobs run this way, and
+/// so does work a caller keeps on its own thread.
+pub fn run_inline(
     n: usize,
     wrap: &(dyn Fn(&mut dyn FnMut()) + Sync),
     task: &(dyn Fn(usize) + Sync),

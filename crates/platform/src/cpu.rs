@@ -71,10 +71,33 @@ impl CpuSpec {
     /// does not scale with duty (the package stays powered); dynamic power
     /// scales with the fraction of unthrottled cycles.
     pub fn power_at_duty(&self, state: &PState, duty: f64, activity: f64) -> Watts {
+        let (leak, dyn_max) = self.power_terms(state);
+        self.power_from_terms(leak, dyn_max, duty, activity)
+    }
+
+    /// A P-state's two power terms: its leakage `P_leak · leak_scale` and
+    /// its full-activity, full-duty dynamic power `P_dyn_max · dyn_scale`.
+    /// They depend on the state alone, so a caller pricing one state at
+    /// many duties or activities computes them once.
+    pub fn power_terms(&self, state: &PState) -> (Watts, Watts) {
         let nominal = self.pstates.nominal();
-        let leak = self.leakage_nominal * state.leak_scale(nominal);
-        let dynamic =
-            self.dyn_power_max * state.dyn_scale(nominal) * duty.clamp(0.0, 1.0) * activity.clamp(0.0, 1.0);
+        (
+            self.leakage_nominal * state.leak_scale(nominal),
+            self.dyn_power_max * state.dyn_scale(nominal),
+        )
+    }
+
+    /// [`Self::power_at_duty`] from a state's [`Self::power_terms`]:
+    /// bit-identical to it for the same state, duty and activity.
+    #[inline]
+    pub fn power_from_terms(
+        &self,
+        leak: Watts,
+        dyn_max: Watts,
+        duty: f64,
+        activity: f64,
+    ) -> Watts {
+        let dynamic = dyn_max * duty.clamp(0.0, 1.0) * activity.clamp(0.0, 1.0);
         (leak + dynamic).max(self.min_active_power)
     }
 
@@ -127,6 +150,20 @@ impl CpuSpec {
                 return Err("T-state duties must be strictly descending".into());
             }
             last = d;
+        }
+        // RAPL's escalation ladder (P-states from the highest frequency
+        // down, then T-state duties lightest first) must never raise the
+        // package power at a fixed activity. With the duties descending
+        // above, that holds when neither power term grows as the
+        // frequency falls; float `+`, `*` and `max` are monotone, so it
+        // then holds bit for bit, and the RAPL solver can resume its
+        // ladder search where the previous iteration stopped.
+        let falls = |w: &[PState]| {
+            let (lower, higher) = (self.power_terms(&w[0]), self.power_terms(&w[1]));
+            higher.0 < lower.0 || higher.1 < lower.1
+        };
+        if self.pstates.states().windows(2).any(falls) {
+            return Err("P-state power must not fall as the frequency rises".into());
         }
         if self.core_gflops_nominal <= 0.0 {
             return Err("core GFLOP/s must be positive".into());
@@ -233,6 +270,35 @@ mod tests {
         assert!(s.validate().is_err());
         s.tstate_duties = vec![1.5];
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_a_ladder_whose_power_rises_as_the_frequency_falls() {
+        let mut s = spec();
+        // The middle state's voltage sits above the nominal one's, so
+        // stepping down to it would raise the package power.
+        s.pstates = PStateTable::new(vec![
+            PState { freq: Hertz::from_ghz(1.2), voltage: 0.80 },
+            PState { freq: Hertz::from_ghz(1.8), voltage: 1.20 },
+            PState { freq: Hertz::from_ghz(2.5), voltage: 1.05 },
+        ]);
+        assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn power_from_terms_matches_power_at_duty_bit_for_bit() {
+        let s = spec();
+        for st in s.pstates.states() {
+            let (leak, dyn_max) = s.power_terms(st);
+            for duty in [1.0, 0.875, 0.5, 0.125] {
+                for activity in [0.0, 0.13, 0.5, 0.97, 1.0] {
+                    assert_eq!(
+                        s.power_from_terms(leak, dyn_max, duty, activity).value().to_bits(),
+                        s.power_at_duty(st, duty, activity).value().to_bits()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,28 +59,93 @@ pub(crate) fn dram_bw_ceiling(dram: &DramSpec, cap: Watts, pattern_cost: f64) ->
     dram.bandwidth_under_cap(cap, pattern_cost).max(step)
 }
 
-/// Pick `(pstate index, duty, unenforceable)` for a package cap at a given
-/// effective activity: the RAPL escalation ladder.
-fn rapl_pick_state(cpu: &CpuSpec, cap: Watts, activity: f64) -> (usize, f64, bool) {
-    let n = cpu.pstates.len();
-    // P-states, highest frequency first.
-    for i in (0..n).rev() {
-        let st = cpu.pstates.get(i).unwrap();
-        if cpu.power_at(st, activity) <= cap {
-            return (i, 1.0, false);
+/// The part of a host-node solve that depends on the problem alone,
+/// computed once per problem instead of once per allocation: each
+/// P-state's RAPL ladder terms and the demand's phase weights. Build it
+/// from the `(cpu, demand)` pair it is then solved with.
+pub(crate) struct Prepared {
+    /// Per P-state, lowest frequency first: its power terms `(leak,
+    /// dyn_max)` ([`CpuSpec::power_terms`]) and its speed relative to
+    /// the nominal state.
+    states: Vec<(Watts, Watts, f64)>,
+    /// [`WorkloadDemand::normalized_weights`].
+    weights: Vec<f64>,
+}
+
+impl Prepared {
+    pub(crate) fn new(cpu: &CpuSpec, demand: &WorkloadDemand) -> Prepared {
+        let nominal = cpu.pstates.nominal();
+        let states = cpu.pstates.states().iter().map(|st| {
+            let (leak, dyn_max) = cpu.power_terms(st);
+            (leak, dyn_max, st.speed(nominal))
+        });
+        Prepared { states: states.collect(), weights: demand.normalized_weights() }
+    }
+}
+
+/// RAPL's PKG escalation ladder for one package, over its P-states'
+/// precomputed power terms: the P-states from the highest frequency down at
+/// full duty, then the T-state duties at the lowest P-state, lightest
+/// throttle first, then one last rung — the deepest throttle with the cap
+/// unenforceable — that every cap "fits".
+///
+/// [`CpuSpec::validate`] holds ladder power non-increasing along the
+/// ladder at any activity, so the rungs that fit a cap form a suffix and
+/// [`Ladder::pick`] can walk to the first of them from any start.
+struct Ladder<'a> {
+    cpu: &'a CpuSpec,
+    /// [`Prepared::states`].
+    states: &'a [(Watts, Watts, f64)],
+}
+
+/// One rung: `(pstate index, duty, unenforceable)`.
+type Rung = (usize, f64, bool);
+
+impl Ladder<'_> {
+    /// The unenforceable last rung's position.
+    fn last(&self) -> usize {
+        self.states.len() + self.cpu.tstate_duties.len()
+    }
+
+    /// The rung at ladder position `k`.
+    fn rung(&self, k: usize) -> Rung {
+        let n = self.states.len();
+        if k < n {
+            (n - 1 - k, 1.0, false)
+        } else if k < self.last() {
+            (0, self.cpu.tstate_duties[k - n], false)
+        } else {
+            (0, self.cpu.min_duty(), true)
         }
     }
-    // T-states at the lowest P-state, lightest throttle first.
-    let lowest = cpu.pstates.lowest();
-    for &duty in &cpu.tstate_duties {
-        if cpu.power_at_duty(lowest, duty, activity) <= cap {
-            return (0, duty, false);
-        }
+
+    /// Package power on rung `k` at `activity` — bit-identical to
+    /// [`CpuSpec::power_at_duty`] at that rung's state and duty.
+    fn power(&self, k: usize, activity: f64) -> Watts {
+        let (pstate, duty, _) = self.rung(k);
+        let (leak, dyn_max, _) = self.states[pstate];
+        self.cpu.power_from_terms(leak, dyn_max, duty, activity)
     }
-    // Even the deepest throttle (whose power floors at P_cpu,L4) exceeds
-    // the cap: unenforceable, run at the floor.
-    let duty = cpu.min_duty();
-    (0, duty, true)
+
+    fn fits(&self, k: usize, cap: Watts, activity: f64) -> bool {
+        k == self.last() || self.power(k, activity) <= cap
+    }
+
+    /// The first rung whose power at `activity` fits `cap` — the rung a
+    /// top-down scan of the ladder picks — found by stepping from `from`
+    /// (the previous iteration's rung, whose activity differed only a
+    /// little): up while the rung above also fits, else down until one
+    /// fits. Exact because the fitting rungs form a suffix.
+    fn pick(&self, from: usize, cap: Watts, activity: f64) -> usize {
+        let mut k = from;
+        while k > 0 && self.fits(k - 1, cap, activity) {
+            k -= 1;
+        }
+        while !self.fits(k, cap, activity) {
+            k += 1;
+        }
+        k
+    }
 }
 
 /// Execution-time composition for a phase at processor speed factors
@@ -115,24 +180,39 @@ pub(crate) fn compose(
 
 /// Solve one phase under the caps via damped fixed-point iteration on the
 /// activity factor.
+///
+/// Never inlined, so the direct solver and the memo's misses run one
+/// copy of this loop: the curve-vs-independent-sweeps benchmark then
+/// compares the two paths on the same machine code.
+#[inline(never)]
 fn solve_phase(
-    cpu: &CpuSpec,
+    ladder: &Ladder,
     dram: &DramSpec,
     phase: &PhaseDemand,
     alloc: PowerAllocation,
 ) -> PhasePoint {
+    let cpu = ladder.cpu;
     let bw_cap = dram_bw_ceiling(dram, alloc.mem, phase.pattern_cost);
     let peak = cpu.peak_gflops();
-    let nominal = *cpu.pstates.nominal();
+    // The composition depends on the rung alone: reuse it while the
+    // picked rung stays put.
+    let mut composed_on: Option<(usize, (f64, f64, Bandwidth))> = None;
+    let mut compose_on = |k: usize| match composed_on {
+        Some((at, composed)) if at == k => composed,
+        _ => {
+            let (idx, duty, _) = ladder.rung(k);
+            let s_pstate = ladder.states[idx].2;
+            let composed = compose(phase, peak, dram.max_bandwidth, s_pstate, duty, bw_cap);
+            composed_on = Some((k, composed));
+            composed
+        }
+    };
 
     let mut activity = phase.act_compute;
+    let mut k = 0;
     for _ in 0..32 {
-        let picked = rapl_pick_state(cpu, alloc.proc, activity);
-        let (idx, duty, _) = picked;
-        let st = cpu.pstates.get(idx).unwrap();
-        let s_pstate = st.speed(&nominal);
-        let composed = compose(phase, peak, dram.max_bandwidth, s_pstate, duty, bw_cap);
-        let busy = composed.1;
+        k = ladder.pick(k, alloc.proc, activity);
+        let busy = compose_on(k).1;
         let next = phase.act_compute * busy + phase.act_stall * (1.0 - busy);
         if (next - activity).abs() < 1e-9 {
             activity = next;
@@ -142,15 +222,10 @@ fn solve_phase(
     }
     // Recompute with the converged activity so the reported state and
     // power are mutually consistent even if the loop hit its bound.
-    let picked = rapl_pick_state(cpu, alloc.proc, activity);
-    let (idx, duty, unenforceable) = picked;
-    let composed = {
-        let st = cpu.pstates.get(idx).unwrap();
-        compose(phase, peak, dram.max_bandwidth, st.speed(&nominal), duty, bw_cap)
-    };
-    let st = cpu.pstates.get(idx).unwrap();
-    let (time, busy, bw_used) = composed;
-    let cpu_power = cpu.power_at_duty(st, duty, activity);
+    k = ladder.pick(k, alloc.proc, activity);
+    let (time, busy, bw_used) = compose_on(k);
+    let (idx, duty, unenforceable) = ladder.rung(k);
+    let cpu_power = ladder.power(k, activity);
     let dram_power = dram.power_at(bw_used, phase.pattern_cost);
     PhasePoint {
         time,
@@ -181,15 +256,16 @@ fn run_phases(
     cpu: &CpuSpec,
     dram: &DramSpec,
     demand: &WorkloadDemand,
-    weights: &[f64],
+    prep: &Prepared,
     alloc: PowerAllocation,
 ) -> (f64, Vec<PhasePoint>) {
+    let ladder = Ladder { cpu, states: &prep.states };
     let points: Vec<PhasePoint> = demand
         .phases
         .iter()
-        .map(|(_, p)| solve_phase(cpu, dram, p, alloc))
+        .map(|(_, p)| solve_phase(&ladder, dram, p, alloc))
         .collect();
-    let total: f64 = weights.iter().zip(&points).map(|(w, pt)| w * pt.time).sum();
+    let total: f64 = prep.weights.iter().zip(&points).map(|(w, pt)| w * pt.time).sum();
     (total, points)
 }
 
@@ -197,9 +273,13 @@ fn run_phases(
 /// against. Depends only on `(cpu, dram, demand)` — never on the
 /// allocation — so callers solving many allocations of the same problem
 /// (the memo, the shared-grid oracle) compute it once.
-pub(crate) fn nominal_time(cpu: &CpuSpec, dram: &DramSpec, demand: &WorkloadDemand) -> f64 {
-    let weights = demand.normalized_weights();
-    run_phases(cpu, dram, demand, &weights, unconstrained_alloc(cpu, dram)).0
+pub(crate) fn nominal_time(
+    cpu: &CpuSpec,
+    dram: &DramSpec,
+    demand: &WorkloadDemand,
+    prep: &Prepared,
+) -> f64 {
+    run_phases(cpu, dram, demand, prep, unconstrained_alloc(cpu, dram)).0
 }
 
 /// Solve the steady-state operating point of a host node running
@@ -214,21 +294,25 @@ pub fn solve_cpu(
     demand: &WorkloadDemand,
     alloc: PowerAllocation,
 ) -> NodeOperatingPoint {
-    solve_cpu_with_nominal(cpu, dram, demand, alloc, nominal_time(cpu, dram, demand))
+    let prep = Prepared::new(cpu, demand);
+    let t_nominal = nominal_time(cpu, dram, demand, &prep);
+    solve_cpu_with_nominal(cpu, dram, demand, &prep, alloc, t_nominal)
 }
 
-/// [`solve_cpu`] with the nominal time precomputed by [`nominal_time`] —
-/// the hot path for memoized multi-allocation solving. Bit-identical to
-/// `solve_cpu` when `t_nominal` comes from the same `(cpu, dram, demand)`.
+/// [`solve_cpu`] with the problem [`Prepared`] and the nominal time
+/// precomputed by [`nominal_time`] — the hot path for memoized
+/// multi-allocation solving. Bit-identical to `solve_cpu` when `prep` and
+/// `t_nominal` come from the same `(cpu, dram, demand)`.
 pub(crate) fn solve_cpu_with_nominal(
     cpu: &CpuSpec,
     dram: &DramSpec,
     demand: &WorkloadDemand,
+    prep: &Prepared,
     alloc: PowerAllocation,
     t_nominal: f64,
 ) -> NodeOperatingPoint {
-    let weights = demand.normalized_weights();
-    let (t_capped, points) = run_phases(cpu, dram, demand, &weights, alloc);
+    let weights = &prep.weights;
+    let (t_capped, points) = run_phases(cpu, dram, demand, prep, alloc);
 
     // Time-weighted averages over phases.
     let mut cpu_power = 0.0;
@@ -283,6 +367,48 @@ mod tests {
 
     fn generous() -> PowerAllocation {
         PowerAllocation::new(Watts::new(250.0), Watts::new(250.0))
+    }
+
+    /// The ladder as a top-down scan reads it: the first P-state, then
+    /// the first T-state duty, whose power fits the cap.
+    fn scan_pick(cpu: &CpuSpec, cap: Watts, activity: f64) -> Rung {
+        for i in (0..cpu.pstates.len()).rev() {
+            if cpu.power_at(cpu.pstates.get(i).unwrap(), activity) <= cap {
+                return (i, 1.0, false);
+            }
+        }
+        for &duty in &cpu.tstate_duties {
+            if cpu.power_at_duty(cpu.pstates.lowest(), duty, activity) <= cap {
+                return (0, duty, false);
+            }
+        }
+        (0, cpu.min_duty(), true)
+    }
+
+    #[test]
+    fn stepped_pick_equals_a_full_scan_from_every_start() {
+        for platform in pbc_platform::presets::all_platforms() {
+            let Some(cpu) = platform.cpu() else { continue };
+            let demand = WorkloadDemand::single("w", PhaseDemand::compute_bound());
+            let prep = Prepared::new(cpu, &demand);
+            let ladder = Ladder { cpu, states: &prep.states };
+            let top = cpu.max_power(1.0).value() + 10.0;
+            for c in 0..=(top * 2.0) as usize {
+                let cap = Watts::new(c as f64 * 0.5);
+                for a in 0..=50 {
+                    let activity = f64::from(a) * 0.02;
+                    let want = scan_pick(cpu, cap, activity);
+                    for from in 0..=ladder.last() {
+                        let got = ladder.rung(ladder.pick(from, cap, activity));
+                        assert_eq!(
+                            got, want,
+                            "{} cap {cap} activity {activity} from {from}",
+                            platform.id
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

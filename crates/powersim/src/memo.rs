@@ -44,37 +44,134 @@ use crate::registry::{lock, BoundedRegistry};
 use pbc_platform::{CpuSpec, DramSpec, GpuSpec, NodeSpec, Platform};
 use pbc_types::{PowerAllocation, Result, Watts};
 use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Canonical cache key: exactly the solver's effective inputs.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// The cache behind one memo, keyed by the words of a canonical key —
+/// exactly the solver's effective inputs:
+///
+/// * CPU: the proc-cap bits, then each phase's quantized bandwidth
+///   ceiling bits;
+/// * GPU: the effective card-cap bits and the memory clock level, then —
+///   only on non-reclaiming cards, where it enters the solve — the SM
+///   share bits.
+///
+/// One memo is bound to one kind, and a CPU key's length is fixed by its
+/// demand, so equal word sequences are equal solver inputs. A lookup
+/// writes its key into the `key` scratch and probes with that slice, so
+/// a hit allocates nothing.
+#[derive(Default)]
+struct Cache {
+    points: HashMap<Key, NodeOperatingPoint, BuildHasherDefault<WordHasher>>,
+    key: Vec<u64>,
+}
+
+/// A stored key's words: inline up to three — every key a shipped
+/// workload produces, since catalog demands have at most two phases —
+/// and boxed past that. Looked up by its word slice.
 enum Key {
-    Cpu {
-        proc_bits: u64,
-        /// Per-phase quantized bandwidth ceilings (f64 bit patterns).
-        bw_bits: Vec<u64>,
-    },
-    Gpu {
-        card_cap_bits: u64,
-        mem_level: usize,
-        /// SM-share bit pattern on non-reclaiming cards; `None` on
-        /// reclaiming cards, where the SM share never enters the solve.
-        sm_bits: Option<u64>,
-    },
+    Inline(u8, [u64; 3]),
+    Boxed(Box<[u64]>),
+}
+
+impl Key {
+    fn new(words: &[u64]) -> Key {
+        match u8::try_from(words.len()) {
+            Ok(len) if len <= 3 => {
+                let mut inline = [0; 3];
+                inline[..words.len()].copy_from_slice(words);
+                Key::Inline(len, inline)
+            }
+            _ => Key::Boxed(words.into()),
+        }
+    }
+
+    fn words(&self) -> &[u64] {
+        match self {
+            Key::Inline(len, inline) => &inline[..usize::from(*len)],
+            Key::Boxed(words) => words,
+        }
+    }
+}
+
+impl Borrow<[u64]> for Key {
+    fn borrow(&self) -> &[u64] {
+        self.words()
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.words() == other.words()
+    }
+}
+
+impl Eq for Key {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.words().hash(state);
+    }
+}
+
+/// A multiply-rotate word hash with a full avalanche in `finish`. The
+/// keys are float bit patterns whose low bits are mostly zero; without
+/// the final mix they would all land in the same few buckets. The keys
+/// are allocations the program derives itself (sweep grids, water-filled
+/// shares), so SipHash's flooding resistance buys nothing here.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for chunk in &mut words {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+        for &byte in words.remainder() {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, w: usize) {
+        self.write_u64(w as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The 64-bit finalizer of MurmurHash3.
+        let mut x = self.0;
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        x ^ (x >> 33)
+    }
 }
 
 enum Bound {
-    Cpu { cpu: CpuSpec, dram: DramSpec },
+    Cpu { cpu: CpuSpec, dram: DramSpec, prep: cpunode::Prepared },
     Gpu(GpuSpec),
 }
 
 /// A memoized solver for one `(platform, demand)` problem. Thread-safe:
-/// the shared-grid oracle hits one memo from every pool executor.
+/// any number of threads may share one memo. The shared-grid oracle
+/// goes through [`SolveMemo::solve_batch`], so its pool executors solve
+/// misses without touching the cache at all.
 pub struct SolveMemo {
     bound: Bound,
     demand: WorkloadDemand,
     nominal: OnceLock<f64>,
-    cache: Mutex<HashMap<Key, NodeOperatingPoint>>,
+    cache: Mutex<Cache>,
 }
 
 /// Most shared memos the registry keeps. One sweep touches a handful of
@@ -102,14 +199,30 @@ fn registry() -> &'static BoundedRegistry<SolveMemo> {
     })
 }
 
+/// The `solve.cache_hits` / `solve.cache_misses` handles, registered
+/// once.
+fn cache_counters() -> &'static (pbc_trace::Counter, pbc_trace::Counter) {
+    static COUNTERS: OnceLock<(pbc_trace::Counter, pbc_trace::Counter)> = OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        (
+            pbc_trace::counter(pbc_trace::names::SOLVE_CACHE_HITS),
+            pbc_trace::counter(pbc_trace::names::SOLVE_CACHE_MISSES),
+        )
+    })
+}
+
 impl SolveMemo {
     /// The shared memo for a host-node problem.
     pub fn for_cpu(cpu: &CpuSpec, dram: &DramSpec, demand: &WorkloadDemand) -> Arc<SolveMemo> {
         registry().get_or_build(&format!("cpu|{cpu:?}|{dram:?}|{demand:?}"), || SolveMemo {
-            bound: Bound::Cpu { cpu: cpu.clone(), dram: dram.clone() },
+            bound: Bound::Cpu {
+                cpu: cpu.clone(),
+                dram: dram.clone(),
+                prep: cpunode::Prepared::new(cpu, demand),
+            },
             demand: demand.clone(),
             nominal: OnceLock::new(),
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::default(),
         })
     }
 
@@ -119,7 +232,7 @@ impl SolveMemo {
             bound: Bound::Gpu(gpu.clone()),
             demand: demand.clone(),
             nominal: OnceLock::new(),
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::default(),
         })
     }
 
@@ -136,14 +249,18 @@ impl SolveMemo {
     /// cold cache regardless of what the rest of the process solved.
     pub fn fresh(platform: &Platform, demand: &WorkloadDemand) -> SolveMemo {
         let bound = match &platform.spec {
-            NodeSpec::Cpu { cpu, dram } => Bound::Cpu { cpu: cpu.clone(), dram: dram.clone() },
+            NodeSpec::Cpu { cpu, dram } => Bound::Cpu {
+                cpu: cpu.clone(),
+                dram: dram.clone(),
+                prep: cpunode::Prepared::new(cpu, demand),
+            },
             NodeSpec::Gpu(gpu) => Bound::Gpu(gpu.clone()),
         };
         SolveMemo {
             bound,
             demand: demand.clone(),
             nominal: OnceLock::new(),
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::default(),
         }
     }
 
@@ -160,7 +277,7 @@ impl SolveMemo {
 
     /// Cached entries in this memo.
     pub fn len(&self) -> usize {
-        lock(&self.cache).len()
+        lock(&self.cache).points.len()
     }
 
     /// True when nothing is cached yet.
@@ -172,86 +289,171 @@ impl SolveMemo {
     /// the un-memoized solver (see the module docs for why).
     #[must_use = "the operating point or the solver failure must be inspected"]
     pub fn solve(&self, alloc: PowerAllocation) -> Result<NodeOperatingPoint> {
-        self.solve_traced(alloc).0
+        let (hits, misses) = cache_counters();
+        let mut cache = lock(&self.cache);
+        let Cache { points, key } = &mut *cache;
+        // Infeasible caps are rejected per call, not cached: rejection
+        // is already cheaper than a cache probe.
+        self.write_key(alloc, key)?;
+        if let Some(&cached) = points.get(key.as_slice()) {
+            drop(cache);
+            hits.incr();
+            return Ok(self.patch(cached, alloc));
+        }
+        let stored = Key::new(key);
+        drop(cache);
+        misses.incr();
+        let result = self.solve_cold(alloc);
+        if let Ok(op) = result {
+            lock(&self.cache).points.insert(stored, op);
+        }
+        result
     }
 
-    /// [`SolveMemo::solve`], also reporting whether the cache served the
-    /// result (`true` = hit). The shared-grid oracle uses this for its
-    /// `sweep.curve_reuse_hits` accounting.
-    #[must_use = "the operating point or the solver failure must be inspected"]
-    pub fn solve_traced(&self, alloc: PowerAllocation) -> (Result<NodeOperatingPoint>, bool) {
-        static COUNTERS: OnceLock<(pbc_trace::Counter, pbc_trace::Counter)> = OnceLock::new();
-        let (hits_c, misses_c) = COUNTERS.get_or_init(|| {
-            (
-                pbc_trace::counter(pbc_trace::names::SOLVE_CACHE_HITS),
-                pbc_trace::counter(pbc_trace::names::SOLVE_CACHE_MISSES),
-            )
-        });
-        match &self.bound {
-            Bound::Cpu { cpu, dram } => {
-                let bw_bits: Vec<u64> = self
-                    .demand
-                    .phases
-                    .iter()
-                    .map(|(_, p)| {
-                        dram_bw_ceiling(dram, alloc.mem, p.pattern_cost).value().to_bits()
-                    })
-                    .collect();
-                let key = Key::Cpu { proc_bits: alloc.proc.value().to_bits(), bw_bits };
-                if let Some(cached) = lock(&self.cache).get(&key) {
-                    hits_c.incr();
-                    let mut op = cached.clone();
-                    op.alloc = alloc;
-                    return (Ok(op), true);
-                }
-                misses_c.incr();
-                let t_nominal =
-                    *self.nominal.get_or_init(|| cpunode::nominal_time(cpu, dram, &self.demand));
-                let op = solve_cpu_with_nominal(cpu, dram, &self.demand, alloc, t_nominal);
-                lock(&self.cache).insert(key, op.clone());
-                (Ok(op), false)
-            }
-            Bound::Gpu(gpu) => {
-                // Infeasible caps are rejected per call, not cached:
-                // rejection is already cheaper than a cache probe.
-                let card_cap = match check_card_cap(gpu, alloc) {
-                    Ok(cap) => cap,
-                    Err(e) => return (Err(e), false),
-                };
-                let key = Key::Gpu {
-                    card_cap_bits: card_cap.value().to_bits(),
-                    mem_level: gpu.mem.level_under_cap(alloc.mem),
-                    sm_bits: if gpu.reclaims_unused {
-                        None
-                    } else {
-                        Some(alloc.proc.value().to_bits())
-                    },
-                };
-                if let Some(cached) = lock(&self.cache).get(&key) {
-                    hits_c.incr();
-                    let mut op = cached.clone();
-                    op.alloc = alloc;
-                    if let MechanismState::Gpu(st) = &mut op.mechanism {
-                        // Recompute the derived reclaimed watts exactly
-                        // as the solver does for this allocation.
-                        st.reclaimed = if gpu.reclaims_unused {
-                            (op.proc_power - alloc.proc).max(Watts::ZERO)
-                        } else {
-                            Watts::ZERO
-                        };
-                    }
-                    return (Ok(op), true);
-                }
-                misses_c.incr();
-                let t_nom =
-                    *self.nominal.get_or_init(|| gpunode::nominal_time_gpu(gpu, &self.demand));
-                let result = solve_gpu_with_nominal(gpu, &self.demand, alloc, t_nom);
-                if let Ok(op) = &result {
-                    lock(&self.cache).insert(key, op.clone());
-                }
-                (result, false)
+    /// Solve every allocation of `allocs` through the cache, answering
+    /// exactly as that many [`SolveMemo::solve`] calls in order would —
+    /// results, hit flags (`true` = served from cache) and the
+    /// `solve.cache_*` counters alike: the first occurrence of an
+    /// uncached key is its miss, every later one a hit.
+    ///
+    /// Keys resolve under one lock. The distinct misses are then solved
+    /// through `run(n, solve_miss)`, which calls `solve_miss(m)` for each
+    /// `m in 0..n` on any threads in any order (a pool job, or a plain
+    /// loop), and stored under a second lock. Nothing shared is touched
+    /// while they solve, and how `run` schedules them never changes the
+    /// answer. A miss `run` skipped is solved here, on the caller.
+    #[must_use = "the operating points or the solver failures must be inspected"]
+    pub fn solve_batch(
+        &self,
+        allocs: &[PowerAllocation],
+        run: impl FnOnce(usize, &(dyn Fn(usize) + Sync)),
+    ) -> Vec<(Result<NodeOperatingPoint>, bool)> {
+        /// How one allocation is answered; the values sit in side
+        /// vectors so this stays a few words.
+        enum Answer {
+            /// By the `i`-th refusal.
+            Refused(usize),
+            /// By the `i`-th cache hit.
+            Cached(usize),
+            /// By the batch's `miss`-th solve; `first` marks the
+            /// occurrence that counts as its miss, every later one a hit.
+            Solved { miss: usize, first: bool },
+        }
+        let mut answers = Vec::with_capacity(allocs.len());
+        let (mut refusals, mut cached) = (Vec::new(), Vec::new());
+        let mut pending: HashMap<Key, usize, BuildHasherDefault<WordHasher>> =
+            HashMap::with_capacity_and_hasher(allocs.len(), BuildHasherDefault::default());
+        let mut missed: Vec<PowerAllocation> = Vec::new();
+        {
+            let mut cache = lock(&self.cache);
+            let Cache { points, key } = &mut *cache;
+            for &alloc in allocs {
+                answers.push(if let Err(e) = self.write_key(alloc, key) {
+                    refusals.push(e);
+                    Answer::Refused(refusals.len() - 1)
+                } else if let Some(&op) = points.get(key.as_slice()) {
+                    cached.push(op);
+                    Answer::Cached(cached.len() - 1)
+                } else if let Some(&miss) = pending.get(key.as_slice()) {
+                    Answer::Solved { miss, first: false }
+                } else {
+                    pending.insert(Key::new(key), missed.len());
+                    missed.push(alloc);
+                    Answer::Solved { miss: missed.len() - 1, first: true }
+                });
             }
         }
+
+        let slots: Vec<OnceLock<Result<NodeOperatingPoint>>> =
+            missed.iter().map(|_| OnceLock::new()).collect();
+        run(missed.len(), &|m| {
+            slots[m].get_or_init(|| self.solve_cold(missed[m]));
+        });
+        let solved: Vec<Result<NodeOperatingPoint>> = slots
+            .into_iter()
+            .zip(&missed)
+            .map(|(slot, &alloc)| slot.into_inner().unwrap_or_else(|| self.solve_cold(alloc)))
+            .collect();
+        {
+            let mut cache = lock(&self.cache);
+            cache.points.reserve(pending.len());
+            for (key, m) in pending {
+                if let Ok(op) = solved[m] {
+                    cache.points.insert(key, op);
+                }
+            }
+        }
+
+        let (hits, misses) = cache_counters();
+        let repeats = answers.iter().filter(|a| matches!(a, Answer::Solved { first: false, .. }));
+        hits.add((cached.len() + repeats.count()) as u64);
+        misses.add(missed.len() as u64);
+        answers
+            .into_iter()
+            .zip(allocs)
+            .map(|(answer, &alloc)| match answer {
+                Answer::Refused(i) => (Err(refusals[i].clone()), false),
+                Answer::Cached(i) => (Ok(self.patch(cached[i], alloc)), true),
+                Answer::Solved { miss, first } => {
+                    (solved[miss].clone().map(|op| self.patch(op, alloc)), !first)
+                }
+            })
+            .collect()
+    }
+
+    /// Solve `alloc` with no cache in the way (the nominal time is
+    /// computed once per memo).
+    fn solve_cold(&self, alloc: PowerAllocation) -> Result<NodeOperatingPoint> {
+        match &self.bound {
+            Bound::Cpu { cpu, dram, prep } => {
+                let t_nominal = *self
+                    .nominal
+                    .get_or_init(|| cpunode::nominal_time(cpu, dram, &self.demand, prep));
+                Ok(solve_cpu_with_nominal(cpu, dram, &self.demand, prep, alloc, t_nominal))
+            }
+            Bound::Gpu(gpu) => {
+                let t_nominal =
+                    *self.nominal.get_or_init(|| gpunode::nominal_time_gpu(gpu, &self.demand));
+                solve_gpu_with_nominal(gpu, &self.demand, alloc, t_nominal)
+            }
+        }
+    }
+
+    /// Write `alloc`'s canonical key (see [`Cache`]) into `key`, or
+    /// refuse an infeasible GPU card cap.
+    fn write_key(&self, alloc: PowerAllocation, key: &mut Vec<u64>) -> Result<()> {
+        key.clear();
+        match &self.bound {
+            Bound::Cpu { dram, .. } => {
+                key.push(alloc.proc.value().to_bits());
+                key.extend(self.demand.phases.iter().map(|(_, p)| {
+                    dram_bw_ceiling(dram, alloc.mem, p.pattern_cost).value().to_bits()
+                }));
+            }
+            Bound::Gpu(gpu) => {
+                key.push(check_card_cap(gpu, alloc)?.value().to_bits());
+                key.push(gpu.mem.level_under_cap(alloc.mem) as u64);
+                if !gpu.reclaims_unused {
+                    key.push(alloc.proc.value().to_bits());
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A cached point as the solver would return it for `alloc`: the
+    /// allocation itself, and on GPUs the reclaimed watts derived from
+    /// it, are recomputed exactly as the solver computes them.
+    fn patch(&self, mut op: NodeOperatingPoint, alloc: PowerAllocation) -> NodeOperatingPoint {
+        op.alloc = alloc;
+        if let (Bound::Gpu(gpu), MechanismState::Gpu(st)) = (&self.bound, &mut op.mechanism) {
+            st.reclaimed = if gpu.reclaims_unused {
+                (op.proc_power - alloc.proc).max(Watts::ZERO)
+            } else {
+                Watts::ZERO
+            };
+        }
+        op
     }
 }
 
@@ -389,14 +591,91 @@ mod tests {
         let demand = WorkloadDemand::single("sra-like", PhaseDemand::random_bound());
         let memo = SolveMemo::fresh(&platform, &demand);
         let alloc = PowerAllocation::new(Watts::new(112.0), Watts::new(116.0));
-        let (first, hit1) = memo.solve_traced(alloc);
-        let (second, hit2) = memo.solve_traced(alloc);
-        assert!(!hit1 && hit2);
-        assert_eq!(
-            op_bits(&first.unwrap()),
-            op_bits(&second.unwrap()),
-            "hit must be bit-identical to the miss"
+        let first = memo.solve(alloc).unwrap();
+        assert_eq!(memo.len(), 1);
+        let second = memo.solve(alloc).unwrap();
+        assert_eq!(memo.len(), 1, "a hit must not store a second entry");
+        assert_eq!(op_bits(&first), op_bits(&second), "hit must be bit-identical to the miss");
+    }
+
+    /// A grid with repeats inside it, refusals (GPU card caps out of
+    /// range) and allocations that differ only below the DRAM throttle
+    /// step, so cache hits, in-batch repeats and misses all occur.
+    fn batch_grid() -> Vec<PowerAllocation> {
+        let mut grid = Vec::new();
+        for proc in [30.0, 60.0, 95.5, 120.0, 160.0, 250.0] {
+            for mem in [20.0, 41.0, 41.2, 64.0, 90.0, 140.0, 200.0] {
+                grid.push(PowerAllocation::new(Watts::new(proc), Watts::new(mem)));
+            }
+        }
+        let repeats: Vec<PowerAllocation> = grid.iter().step_by(3).copied().collect();
+        grid.extend(repeats);
+        grid
+    }
+
+    /// The batch answers exactly as one-by-one solves in order would:
+    /// same bits, same hit flags — whatever order `run` solves the
+    /// misses in, and even when it solves none of them.
+    #[test]
+    fn a_batch_answers_like_solves_in_order() {
+        // Three phases make a four-word key, stored boxed.
+        let three_phases = WorkloadDemand::phased(
+            "three-phase",
+            vec![
+                (0.5, PhaseDemand::compute_bound()),
+                (0.3, PhaseDemand::stream_bound()),
+                (0.2, PhaseDemand::random_bound()),
+            ],
         );
+        let cases = [
+            (ivybridge(), cpu_demands()[3].clone()),
+            (ivybridge(), three_phases),
+            (haswell(), cpu_demands()[0].clone()),
+            (titan_xp(), sgemm_like()),
+            (titan_xp(), gpu_stream_like()),
+        ];
+        let grid = batch_grid();
+        for (platform, demand) in cases {
+            let serial = SolveMemo::fresh(&platform, &demand);
+            let want: Vec<(Option<Vec<u64>>, bool)> = grid
+                .iter()
+                .map(|&alloc| {
+                    let before = serial.len();
+                    let result = serial.solve(alloc);
+                    let hit = result.is_ok() && serial.len() == before;
+                    (result.ok().map(|op| op_bits(&op)), hit)
+                })
+                .collect();
+            let reversed = |n: usize, solve: &(dyn Fn(usize) + Sync)| (0..n).rev().for_each(solve);
+            let skipped = |_: usize, _: &(dyn Fn(usize) + Sync)| {};
+            for (label, batch) in [
+                ("reversed", SolveMemo::fresh(&platform, &demand).solve_batch(&grid, reversed)),
+                ("skipped", SolveMemo::fresh(&platform, &demand).solve_batch(&grid, skipped)),
+            ] {
+                let got: Vec<(Option<Vec<u64>>, bool)> = batch
+                    .into_iter()
+                    .map(|(result, hit)| (result.ok().map(|op| op_bits(&op)), hit))
+                    .collect();
+                assert_eq!(got, want, "{} {label}", demand.name);
+            }
+            assert!(want.iter().any(|w| w.1), "{}: no hits exercised", demand.name);
+        }
+    }
+
+    #[test]
+    fn a_batch_fills_the_cache_for_later_solves() {
+        let platform = ivybridge();
+        let demand = cpu_demands()[1].clone();
+        let memo = SolveMemo::fresh(&platform, &demand);
+        let grid = batch_grid();
+        let first = memo.solve_batch(&grid, |n, solve| (0..n).for_each(solve));
+        let stored = memo.len();
+        let again = memo.solve_batch(&grid, |n, _| assert_eq!(n, 0, "nothing left to solve"));
+        assert!(again.iter().all(|(_, hit)| *hit));
+        assert_eq!(memo.len(), stored);
+        for ((a, _), (b, _)) in first.iter().zip(&again) {
+            assert_eq!(op_bits(a.as_ref().unwrap()), op_bits(b.as_ref().unwrap()));
+        }
     }
 
     #[test]

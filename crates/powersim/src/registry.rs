@@ -79,8 +79,8 @@ impl<T> BoundedRegistry<T> {
     }
 
     /// Like [`Self::get_or_build`] for fallible, *expensive* builds: the
-    /// build runs with the registry unlocked (it may itself run pooled
-    /// sweeps), then the result is inserted double-checked — if another
+    /// build runs with the registry unlocked (it may itself run a whole
+    /// oracle sweep), then the result is inserted double-checked — if another
     /// thread registered `key` while this one was building, the earlier
     /// entry wins and is returned, so all callers share one handle.
     #[must_use = "the registry result carries either the shared handle or the build failure"]

@@ -7,6 +7,17 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# The bench history stamp: the commit, plus a short hash of the
+# uncommitted diff when there is one, so a run on a work in progress is
+# never filed under its parent. The outputs this script writes itself
+# are left out of the diff. Taken before anything below runs.
+run_commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+run_diff=$(git diff HEAD -- . ':(exclude)BENCH_sweep.json' ':(exclude)BENCH_serve.json' \
+    ':(exclude)results' 2>/dev/null || true)
+if [ -n "$run_diff" ]; then
+    run_commit="${run_commit}+$(printf '%s\n' "$run_diff" | git hash-object --stdin | cut -c1-7)"
+fi
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
@@ -85,6 +96,27 @@ grep -q '{"type":"counter","name":"health.quarantine_leaks","value":0}' "$chaos_
     || { echo "error: health.quarantine_leaks != 0 in $chaos_trace" >&2; exit 1; }
 echo "    trace laws held: cluster.budget_violations == 0, health.quarantine_leaks == 0"
 
+echo "==> counter determinism (the chaos run's counters repeat at 1 and 2 threads)"
+# Every counter but the pool's own is a property of the run, not of the
+# thread count: fleet profiling runs on the calling thread, and the
+# shared-grid oracle resolves its cache hits before any solve fans out.
+# A counter that moves with PBC_THREADS makes trace diffs across
+# commits meaningless.
+for threads in 1 2; do
+    counter_trace=target/cluster-chaos-counters-t${threads}.jsonl
+    rm -f "$counter_trace"
+    PBC_THREADS=$threads $chaos_runner ./target/release/pbc cluster-chaos -p "$chaos_spec" \
+        -b 1050 --plan everything --seed 42 --trace "$counter_trace" > /dev/null \
+        || { echo "error: pbc cluster-chaos at PBC_THREADS=$threads failed" >&2; exit 1; }
+    grep '"type":"counter"' "$counter_trace" | grep -v '"name":"pool\.' \
+        > "target/cluster-chaos-counters-t${threads}.txt"
+done
+grep -q '"name":"solve.cache_hits"' target/cluster-chaos-counters-t1.txt \
+    || { echo "error: no solve.cache_hits counter in the chaos trace" >&2; exit 1; }
+diff target/cluster-chaos-counters-t1.txt target/cluster-chaos-counters-t2.txt >&2 \
+    || { echo "error: chaos counters differ between PBC_THREADS=1 and 2 (above)" >&2; exit 1; }
+echo "    $(wc -l < target/cluster-chaos-counters-t1.txt) counters identical at 1 and 2 threads"
+
 echo "==> fairness gate (max-min tenants under a noisy neighbor: no overdraw, no starved floor, calm-state Jain)"
 # Same fleet, worst multi-tenant plan: a noisy neighbor inflating one
 # tenant's demand mid-epoch must never overdraw the global budget or
@@ -129,7 +161,6 @@ echo "==> bench history (run-stamped append under results/)"
 # the commit, so timing trajectories survive the per-run rm -f above.
 mkdir -p results
 run_stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
-run_commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 sed "s/^{/{\"run\":\"${run_stamp}\",\"commit\":\"${run_commit}\",/" \
     BENCH_sweep.json >> results/bench_history.jsonl
 echo "    history: results/bench_history.jsonl (${run_stamp} @ ${run_commit})"
